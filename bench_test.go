@@ -5,7 +5,8 @@ package repro
 // strategies as sub-benchmarks on the same generated data, so
 // `go test -bench=. -benchmem` regenerates every experiment's comparison at
 // reduced, fixed dimensions; `cmd/morpheus-bench` runs the full sweeps and
-// prints paper-style tables (see EXPERIMENTS.md for the mapping).
+// prints paper-style tables (`morpheus-bench -list` names the experiment
+// behind each table and figure).
 
 import (
 	"fmt"

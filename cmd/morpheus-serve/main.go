@@ -66,10 +66,11 @@ import (
 	"repro/internal/serve"
 )
 
-// scorer is what request handling needs from either scorer flavor; both
-// serve.Scorer and serve.EpochScorer satisfy it.
+// scorer is what request handling needs from the serving backend; both
+// serve.Scorer and serve.Router satisfy it.
 type scorer interface {
 	serve.BatchScorer
+	ScoreBatch(ids []int) ([]float64, error)
 	ScoreAll() []float64
 }
 
@@ -165,7 +166,7 @@ func main() {
 			if err != nil {
 				fail("building scorer: %v", err)
 			}
-			reportSpeedup(s, nm.Rows(), head, w)
+			reportSpeedup(s, nm, head, w)
 		}
 		if *fleet > 1 {
 			rt, err := serve.NewScorerFleet(nm, w, head, *fleet, placement)
@@ -354,8 +355,7 @@ func generate(ns, ds, nr, dr, tables int, seed int64) (*core.NormalizedMatrix, e
 
 // reportSpeedup times scoring every row via the cached partials against
 // rerunning the factorized predictor, mirroring BenchmarkServe*.
-func reportSpeedup(sc *serve.Scorer, rows int, head serve.Head, w *la.Dense) {
-	nm := sc.Matrix()
+func reportSpeedup(sc *serve.Scorer, nm *core.NormalizedMatrix, head serve.Head, w *la.Dense) {
 	const reps = 5
 	naive := time.Duration(1<<63 - 1)
 	for r := 0; r < reps; r++ {
@@ -378,7 +378,7 @@ func reportSpeedup(sc *serve.Scorer, rows int, head serve.Head, w *la.Dense) {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "scoring %d rows: naive factorized %v, cached partials %v (%.1fx)\n",
-		rows, naive, cached, float64(naive)/float64(cached))
+		nm.Rows(), naive, cached, float64(naive)/float64(cached))
 }
 
 func parseIDs(line string) ([]int, error) {

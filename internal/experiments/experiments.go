@@ -6,7 +6,9 @@
 // Absolute numbers differ from the paper (different hardware, R/BLAS
 // replaced by the Go substrate); the shapes — who wins, how speed-ups grow
 // with tuple ratio and feature ratio, where the low-ratio crossover region
-// lies — are the reproduction target. EXPERIMENTS.md records both.
+// lies — are the reproduction target. Each Result records the measured
+// side in its rows and notes; IDs lists the catalog, one ID per table or
+// figure (morpheus-bench -list prints it).
 package experiments
 
 import (

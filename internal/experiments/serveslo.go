@@ -47,9 +47,7 @@ func (l *latencyRecorder) percentiles() (p50, p99, p999 float64, n int) {
 }
 
 // slowBackend throttles every batch, making backend saturation
-// deterministic for the overload segment. It deliberately implements only
-// the plain BatchScorer surface so the Batcher cannot route around the
-// delay via the allocation-free path.
+// deterministic for the overload segment.
 type slowBackend struct {
 	rt    *serve.Router
 	delay time.Duration
@@ -57,9 +55,9 @@ type slowBackend struct {
 
 func (s *slowBackend) Rows() int { return s.rt.Rows() }
 
-func (s *slowBackend) ScoreBatch(ids []int) ([]float64, error) {
+func (s *slowBackend) ScoreBatchInto(ids []int, out []float64) error {
 	time.Sleep(s.delay)
-	return s.rt.ScoreBatch(ids)
+	return s.rt.ScoreBatchInto(ids, out)
 }
 
 // serveSLO is the serving-fleet latency harness: it builds single,

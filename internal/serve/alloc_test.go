@@ -3,13 +3,16 @@ package serve
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/epoch"
 )
 
 // TestSteadyStateZeroAlloc is the allocation audit: once warm, the
-// ScoreBatchInto request path — single scorer, sharded replica, and both
-// router placements — must not touch the heap. Pool-backed scratch is
-// warmed by a few calls first so AllocsPerRun measures the steady state,
-// not pool growth.
+// request paths — ScoreBatchInto and ScoreRow on a full, a sharded, and
+// an epoch-backed scorer, and ScoreBatchInto through both router
+// placements and an epoch fleet — must not touch the heap. Pool-backed
+// scratch is warmed by a few calls first so AllocsPerRun measures the
+// steady state, not pool growth.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; the allocation audit runs in the non-race pass")
@@ -35,7 +38,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 				t.Errorf("%s: %v", name, err)
 			}
 		}); a != 0 {
-			t.Errorf("%s: %v allocs per ScoreBatchInto, want 0", name, a)
+			t.Errorf("%s: %v allocs per call, want 0", name, a)
 		}
 	}
 
@@ -44,6 +47,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("Scorer", func() error { return single.ScoreBatchInto(ids, out) })
+	check("Scorer.ScoreRow", func() error { _, err := single.ScoreRow(ids[0]); return err })
 
 	for _, pl := range placements() {
 		rt, err := NewScorerFleet(nm, w, Logistic, 3, pl)
@@ -65,4 +69,21 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 	ownedOut := make([]float64, len(owned))
 	check("ShardedScorer", func() error { return sh.ScoreBatchInto(owned, ownedOut) })
+	check("ShardedScorer.ScoreRow", func() error { _, err := sh.ScoreRow(owned[0]); return err })
+
+	st, err := epoch.NewStore(nm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	es, err := NewEpochScorer(st, w, Logistic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("EpochScorer", func() error { return es.ScoreBatchInto(ids, out) })
+	check("EpochScorer.ScoreRow", func() error { _, err := es.ScoreRow(ids[0]); return err })
+	fleet, err := NewEpochFleet(st, w, Logistic, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Router/epoch", func() error { return fleet.ScoreBatchInto(ids, out) })
 }

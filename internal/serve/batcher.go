@@ -42,11 +42,15 @@ func (o BatchOptions) withDefaults() BatchOptions {
 	return o
 }
 
-// BatchScorer is the backend contract the Batcher coalesces over; *Scorer
-// implements it, and wrappers (instrumentation, sharding) can too.
+// BatchScorer is the backend contract the Batcher coalesces over; Scorer
+// and Router implement it, and wrappers (instrumentation, throttling) can
+// too.
 type BatchScorer interface {
 	Rows() int
-	ScoreBatch(ids []int) ([]float64, error)
+	// ScoreBatchInto scores ids into the caller-owned out slice
+	// (len(out) == len(ids)) without allocating — the steady-state
+	// request path.
+	ScoreBatchInto(ids []int, out []float64) error
 }
 
 // BatcherStats counts the admission and execution work a Batcher has
@@ -78,13 +82,11 @@ type BatcherStats struct {
 // of queuing unboundedly, so latency under saturation stays bounded and
 // the caller — not the queue — decides whether to retry. After Close,
 // Score fails fast with ErrBatcherClosed; requests admitted before Close
-// are always answered. When the backend also implements IntoScorer, the
-// steady-state request path is allocation-free: response channels, batch
-// buffers, and score buffers are pooled.
+// are always answered. The steady-state request path is allocation-free:
+// response channels, batch buffers, and score buffers are pooled.
 type Batcher struct {
-	sc   BatchScorer
-	into IntoScorer // non-nil when sc supports allocation-free scoring
-	opt  BatchOptions
+	sc  BatchScorer
+	opt BatchOptions
 
 	reqs chan batchReq // buffered by QueueDepth: the admission queue
 	jobs chan *batchJob
@@ -136,7 +138,6 @@ func NewBatcher(sc BatchScorer, opt BatchOptions) *Batcher {
 		jobs: make(chan *batchJob),
 		quit: make(chan struct{}),
 	}
-	b.into, _ = sc.(IntoScorer)
 	b.resps.New = func() any { return make(chan batchResp, 1) }
 	b.batch.New = func() any {
 		return &batchJob{
@@ -306,15 +307,16 @@ func (b *Batcher) runJob(job *batchJob) {
 	for _, r := range job.reqs {
 		job.ids = append(job.ids, r.id)
 	}
-	scores, err := b.scoreBatch(job)
-	if err == nil && len(scores) != n {
-		err = fmt.Errorf("serve: ScoreBatch returned %d scores for %d ids", len(scores), n)
+	if cap(job.out) < n {
+		job.out = make([]float64, n)
 	}
+	job.out = job.out[:n]
+	err := b.scoreBatch(job)
 	for i, r := range job.reqs {
 		if err != nil {
 			r.out <- batchResp{err: err}
 		} else {
-			r.out <- batchResp{score: scores[i]}
+			r.out <- batchResp{score: job.out[i]}
 		}
 	}
 	b.batches.Add(1)
@@ -323,28 +325,17 @@ func (b *Batcher) runJob(job *batchJob) {
 	b.batch.Put(job)
 }
 
-// scoreBatch calls the backend — through the allocation-free IntoScorer
-// path into the job's pooled score buffer when available — converting a
-// panic into an error: without the recover, a panicking backend would
-// escape the worker goroutine, skipping the response sends so every
+// scoreBatch scores the job into its pooled score buffer, converting a
+// backend panic into an error: without the recover, a panicking backend
+// would escape the worker goroutine, skipping the response sends so every
 // coalesced caller in the batch blocks forever while the panic takes down
 // the process. With it, all callers get the error and the batcher keeps
 // serving.
-func (b *Batcher) scoreBatch(job *batchJob) (scores []float64, err error) {
+func (b *Batcher) scoreBatch(job *batchJob) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			scores, err = nil, fmt.Errorf("serve: ScoreBatch panicked: %v", r)
+			err = fmt.Errorf("serve: ScoreBatchInto panicked: %v", r)
 		}
 	}()
-	if b.into != nil {
-		if cap(job.out) < len(job.ids) {
-			job.out = make([]float64, len(job.ids))
-		}
-		job.out = job.out[:len(job.ids)]
-		if err := b.into.ScoreBatchInto(job.ids, job.out); err != nil {
-			return nil, err
-		}
-		return job.out, nil
-	}
-	return b.sc.ScoreBatch(job.ids)
+	return b.sc.ScoreBatchInto(job.ids, job.out)
 }

@@ -1,14 +1,13 @@
 package serve
 
 import (
-	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// panicScorer panics on the first panics calls to ScoreBatch, then
+// panicScorer panics on the first panics calls to ScoreBatchInto, then
 // behaves normally.
 type panicScorer struct {
 	rows   int
@@ -19,7 +18,7 @@ type panicScorer struct {
 
 func (p *panicScorer) Rows() int { return p.rows }
 
-func (p *panicScorer) ScoreBatch(ids []int) ([]float64, error) {
+func (p *panicScorer) ScoreBatchInto(ids []int, out []float64) error {
 	p.mu.Lock()
 	p.calls++
 	boom := p.panics > 0
@@ -30,20 +29,10 @@ func (p *panicScorer) ScoreBatch(ids []int) ([]float64, error) {
 	if boom {
 		panic("scorer exploded")
 	}
-	out := make([]float64, len(ids))
 	for i, id := range ids {
 		out[i] = float64(id)
 	}
-	return out, nil
-}
-
-// shortScorer returns fewer scores than ids without an error.
-type shortScorer struct{ rows int }
-
-func (s *shortScorer) Rows() int { return s.rows }
-
-func (s *shortScorer) ScoreBatch(ids []int) ([]float64, error) {
-	return make([]float64, len(ids)/2), nil
+	return nil
 }
 
 // TestBatcherRecoversFromScorerPanic: every caller coalesced into the
@@ -118,17 +107,5 @@ func TestBatcherRecoversFromScorerPanic(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("batcher wedged after panic recovery — leaked worker slot?")
 		}
-	}
-}
-
-// TestBatcherRejectsShortScoreSlice: a backend that silently returns too
-// few scores yields an error for the whole batch, not an index panic.
-func TestBatcherRejectsShortScoreSlice(t *testing.T) {
-	b := NewBatcher(&shortScorer{rows: 8}, BatchOptions{MaxDelay: time.Microsecond})
-	defer b.Close()
-	if _, err := b.Score(3); err == nil {
-		t.Fatal("Score accepted a short score slice")
-	} else if errors.Is(err, ErrRowRange) {
-		t.Fatalf("wrong error: %v", err)
 	}
 }

@@ -224,7 +224,7 @@ func TestBatcherCoalesces(t *testing.T) {
 	// all fold into the next few batches; 64 individual calls would take
 	// 128ms and fail long before this threshold.
 	if calls := cs.calls.Load(); calls > n/4 {
-		t.Fatalf("micro-batching ineffective: %d ScoreBatch calls for %d concurrent requests", calls, n)
+		t.Fatalf("micro-batching ineffective: %d ScoreBatchInto calls for %d concurrent requests", calls, n)
 	}
 }
 
@@ -236,15 +236,6 @@ type countingScorer struct {
 	calls    atomic.Int32
 }
 
-func (c *countingScorer) ScoreBatch(ids []int) ([]float64, error) {
-	c.calls.Add(1)
-	time.Sleep(c.perBatch)
-	return c.Scorer.ScoreBatch(ids)
-}
-
-// ScoreBatchInto must be overridden too: the embedded *Scorer promotes it,
-// so the Batcher's IntoScorer probe would otherwise route around the
-// counting/sleep instrumentation.
 func (c *countingScorer) ScoreBatchInto(ids []int, out []float64) error {
 	c.calls.Add(1)
 	time.Sleep(c.perBatch)

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/epoch"
@@ -11,7 +9,7 @@ import (
 )
 
 // PatchStats counts the incremental partial-product maintenance an
-// EpochScorer has performed. Snapshot via EpochScorer.PatchStats.
+// epoch-backed Scorer has performed. Snapshot via Scorer.PatchStats.
 type PatchStats struct {
 	// Commits is the number of epochs applied by incremental patching.
 	Commits uint64
@@ -23,83 +21,37 @@ type PatchStats struct {
 	TotalPatch time.Duration
 }
 
-// epochPartials is one immutable (weights, epoch) cache generation. A
-// scoring request snapshots the pointer once, so every row it serves
-// sees one weight version and one epoch — never a mix of either.
-type epochPartials struct {
-	w       *la.Dense   // d×1 weight snapshot
-	wS      []float64   // entity weight block (len dS); nil when dS = 0
-	wR      [][]float64 // per-attribute-table weight blocks
-	sw      []float64   // per entity-tuple partial S·wS at this epoch
-	parts   [][]float64 // per attribute-table partial R_t·w_{R_t}
-	version epoch.Version
-}
-
-// EpochScorer scores over a versioned feature store (epoch.Store),
-// keeping its cached partial products current across commits by
-// incremental patching: for each changed row r of table t it subtracts
-// the old row's contribution dot(old, w_{R_t}) and adds the new one —
-// O(changed rows × row width) per commit instead of a full O(nnz)
-// rebuild, and within 1e-12 of one (pinned by differential tests).
-//
-// Concurrency contract: ScoreRow/ScoreBatch/ScoreAll may be called
-// concurrently with each other, with Store.Commit, and with
-// UpdateWeights; each request observes exactly one weight version AND
-// one epoch for all of its rows. Commits are applied synchronously
-// inside Store.Commit (the scorer subscribes at construction), so when
-// Commit returns the scorer already serves the new epoch — readers
-// stall only for the pointer swap plus the per-changed-row patch.
-// UpdateWeights recomputes all partials at the then-current epoch and
-// blocks scoring for the recompute; it is meant for the rare retrain
-// hand-off, not the per-request path.
-type EpochScorer struct {
-	store *epoch.Store
-	head  Head
-
-	// Static join structure, hoisted once (epochs never change it).
-	isAssign []int32
-	kAssign  [][]int32
-
-	mu    sync.RWMutex
-	st    *epochPartials
-	early []*epoch.Commit // commits that landed before initial partials
-	stats PatchStats
-}
-
-var _ BatchScorer = (*EpochScorer)(nil)
+// EpochScorer is the historical name of a Scorer built by
+// NewEpochScorer: a full scorer subscribed to a versioned store.
+type EpochScorer = Scorer
 
 // NewEpochScorer builds a scorer over the versioned store with weight
 // vector w (d×1 or 1×d, copied) and link head, subscribed to the
 // store's commits: the returned scorer tracks every subsequent epoch
-// automatically. Commits that land during construction are applied
-// before the first score, in order — no epoch is skipped or doubled.
+// automatically, keeping its cached partials current by incremental
+// patching — for each changed row r of table t it subtracts the old
+// row's contribution dot(old, w_{R_t}) and adds the new one, O(changed
+// rows × row width) per commit instead of a full O(nnz) rebuild, and
+// within 1e-12 of one. Commits that land during construction are
+// applied before the first score, in order — no epoch is skipped or
+// doubled.
 func NewEpochScorer(store *epoch.Store, w *la.Dense, head Head) (*EpochScorer, error) {
 	if store == nil {
 		return nil, errors.New("serve: nil epoch store")
 	}
-	if head != Linear && head != Logistic {
-		return nil, fmt.Errorf("serve: unknown head %d", int(head))
-	}
-	wCol, err := asWeightColumn(w, store.Cols())
+	s, wCol, err := newScorer(store, w, head, 0, 1)
 	if err != nil {
 		return nil, err
 	}
-	s := &EpochScorer{store: store, head: head}
-	if is := store.IS(); is != nil {
-		s.isAssign = is.Assignments()
-	}
-	s.kAssign = make([][]int32, store.NumTables())
-	for t, k := range store.Ks() {
-		s.kAssign[t] = k.Assignments()
-	}
-	// Subscribe first: the listener buffers commits until the initial
-	// partials exist (s.st == nil), so nothing slips between the pinned
-	// snapshot below and the first applyCommit.
+	s.store = store
+	// Subscribe first: the listener buffers commits until the first
+	// generation exists (s.gen == nil), so nothing slips between the
+	// pinned snapshot below and the first applyCommit.
 	snap := store.Subscribe(s.applyCommit)
 	defer snap.Release()
-	st := s.computePartials(wCol, snap)
+	g := s.snapshotGeneration(snap, wCol)
 	s.mu.Lock()
-	s.st = st
+	s.gen = g
 	for _, c := range s.early {
 		s.patchLocked(c)
 	}
@@ -108,39 +60,25 @@ func NewEpochScorer(store *epoch.Store, w *la.Dense, head Head) (*EpochScorer, e
 	return s, nil
 }
 
-// computePartials evaluates the full partial caches for wCol against the
-// tables of snap — the from-scratch path used at construction and by
-// UpdateWeights; commits between epochs use patchLocked instead.
-func (s *EpochScorer) computePartials(wCol *la.Dense, snap *epoch.Snapshot) *epochPartials {
-	st := &epochPartials{w: wCol, version: snap.Version()}
-	off := 0
-	if sm := snap.S(); sm != nil {
-		dS := sm.Cols()
-		wS := wCol.SliceRowsDense(0, dS)
-		st.wS = columnData(wS)
-		st.sw = columnData(sm.Mul(wS))
-		off = dS
+// snapshotGeneration builds a generation from the tables of snap, at
+// snap's epoch.
+func (s *Scorer) snapshotGeneration(snap *epoch.Snapshot, wCol *la.Dense) *generation {
+	rs := make([]la.Mat, snap.NumTables())
+	for t := range rs {
+		rs[t] = snap.R(t)
 	}
-	st.wR = make([][]float64, snap.NumTables())
-	st.parts = make([][]float64, snap.NumTables())
-	for t := 0; t < snap.NumTables(); t++ {
-		r := snap.R(t)
-		dR := r.Cols()
-		wR := wCol.SliceRowsDense(off, off+dR)
-		st.wR[t] = columnData(wR)
-		st.parts[t] = columnData(r.Mul(wR))
-		off += dR
-	}
-	return st
+	g := s.computeGeneration(snap.S(), rs, wCol)
+	g.version = snap.Version()
+	return g
 }
 
 // applyCommit is the store listener: it patches the cached partials for
 // one commit. It runs on the committing goroutine under the store's
 // write lock, serialized and in version order.
-func (s *EpochScorer) applyCommit(c *epoch.Commit) {
+func (s *Scorer) applyCommit(c *epoch.Commit) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.st == nil {
+	if s.gen == nil {
 		s.early = append(s.early, c)
 		return
 	}
@@ -149,51 +87,46 @@ func (s *EpochScorer) applyCommit(c *epoch.Commit) {
 
 // patchLocked applies one commit's deltas to a copy-on-write clone of
 // the affected partial vectors; unchanged tables share their slice with
-// the previous generation, so in-flight requests keep reading their
-// snapshot untouched. Callers hold s.mu exclusively. Commits at or
-// below the cached version are skipped (idempotence: UpdateWeights may
-// already have recomputed at that epoch).
-func (s *EpochScorer) patchLocked(c *epoch.Commit) {
-	if c.Version <= s.st.version || c.RowsChanged() == 0 {
-		if c.Version > s.st.version {
-			// Empty commit: just advance the version.
-			ns := *s.st
-			ns.version = c.Version
-			s.st = &ns
-		}
+// the previous generation, so in-flight requests keep reading theirs
+// untouched. Callers hold s.mu exclusively. Commits at or below the
+// cached version are skipped (idempotence: UpdateWeights may already
+// have recomputed at that epoch).
+func (s *Scorer) patchLocked(c *epoch.Commit) {
+	if c.Version <= s.gen.version {
+		return
+	}
+	ng := *s.gen
+	ng.version = c.Version
+	rows := c.RowsChanged()
+	if rows == 0 {
+		s.gen = &ng
 		return
 	}
 	start := time.Now()
-	ns := *s.st
-	ns.version = c.Version
+	// Weight block b of T (entity first, then tables) is w[off:off+width].
+	w := ng.w.Data()
+	off := s.store.EntityCols()
 	if c.Entity != nil {
-		sw := make([]float64, len(ns.sw))
-		copy(sw, ns.sw)
+		wS := w[:off]
+		ng.sw = append([]float64(nil), ng.sw...)
 		for i, r := range c.Entity.Rows {
-			sw[r] += dot(c.Entity.New[i], ns.wS) - dot(c.Entity.Old[i], ns.wS)
+			ng.sw[r] += dot(c.Entity.New[i], wS) - dot(c.Entity.Old[i], wS)
 		}
-		ns.sw = sw
 	}
-	rows := 0
+	ng.parts = append([][]float64(nil), ng.parts...)
 	for t, d := range c.Attrs {
-		if d == nil {
-			continue
+		dR := s.store.AttrCols(t)
+		if d != nil {
+			wR := w[off : off+dR]
+			parts := append([]float64(nil), ng.parts[t]...)
+			for i, r := range d.Rows {
+				parts[r] += dot(d.New[i], wR) - dot(d.Old[i], wR)
+			}
+			ng.parts[t] = parts
 		}
-		parts := make([]float64, len(ns.parts[t]))
-		copy(parts, ns.parts[t])
-		for i, r := range d.Rows {
-			parts[r] += dot(d.New[i], ns.wR[t]) - dot(d.Old[i], ns.wR[t])
-		}
-		np := make([][]float64, len(ns.parts))
-		copy(np, ns.parts)
-		np[t] = parts
-		ns.parts = np
-		rows += len(d.Rows)
+		off += dR
 	}
-	if c.Entity != nil {
-		rows += len(c.Entity.Rows)
-	}
-	s.st = &ns
+	s.gen = &ng
 	el := time.Since(start)
 	s.stats.Commits++
 	s.stats.Rows += uint64(rows)
@@ -209,111 +142,15 @@ func dot(a, b []float64) float64 {
 	return m
 }
 
-// UpdateWeights replaces the model, recomputing every partial cache at
-// the current epoch under the write lock. Scoring stalls for the
-// recompute (O(nnz) of the base tables); in-flight requests finish on
-// the (weights, epoch) snapshot they started with. Safe to call
-// concurrently with commits: a commit that publishes while the
-// recompute runs is either already included (the recompute pins the
-// newest epoch) or applied by the subscribed listener right after.
-func (s *EpochScorer) UpdateWeights(w *la.Dense) error {
-	wCol, err := asWeightColumn(w, s.store.Cols())
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap := s.store.Pin()
-	defer snap.Release()
-	s.st = s.computePartials(wCol, snap)
-	return nil
-}
+// Version reports the epoch the scorer currently serves; it advances
+// synchronously with Store.Commit. It is 0 for a scorer over an
+// immutable store.
+func (s *Scorer) Version() epoch.Version { return s.current().version }
 
-// Weights returns a copy of the current d×1 weight vector.
-func (s *EpochScorer) Weights() *la.Dense {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.st.w.Clone()
-}
-
-// Version reports the epoch the scorer currently serves. It advances
-// synchronously with Store.Commit.
-func (s *EpochScorer) Version() epoch.Version {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.st.version
-}
-
-// PatchStats returns a snapshot of the incremental-maintenance counters.
-func (s *EpochScorer) PatchStats() PatchStats {
+// PatchStats returns a snapshot of the incremental-maintenance counters
+// (all zero for a scorer over an immutable store).
+func (s *Scorer) PatchStats() PatchStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.stats
-}
-
-// Store returns the versioned feature store the scorer serves from.
-func (s *EpochScorer) Store() *epoch.Store { return s.store }
-
-// Head reports the configured link function.
-func (s *EpochScorer) Head() Head { return s.head }
-
-// Rows reports the number of servable rows (logical rows of T).
-func (s *EpochScorer) Rows() int { return s.store.Rows() }
-
-// ScoreRow serves a single prediction for logical row id at the current
-// (weights, epoch) generation.
-func (s *EpochScorer) ScoreRow(id int) (float64, error) {
-	if id < 0 || id >= s.store.Rows() {
-		return 0, fmt.Errorf("%w: %d not in [0,%d)", ErrRowRange, id, s.store.Rows())
-	}
-	out := make([]float64, 1)
-	s.gather([]int{id}, out)
-	return out[0], nil
-}
-
-// ScoreBatch serves predictions for a batch of logical row ids. The
-// partial-cache generation is snapshotted once, before the first row:
-// all rows of the batch observe one weight version and one epoch, even
-// under concurrent UpdateWeights and Store.Commit.
-func (s *EpochScorer) ScoreBatch(ids []int) ([]float64, error) {
-	out := make([]float64, len(ids))
-	if err := s.ScoreBatchInto(ids, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ScoreBatchInto is the allocation-free form of ScoreBatch: scores are
-// written into the caller-owned out slice (len(out) must equal
-// len(ids)). Snapshot semantics are identical to ScoreBatch: one
-// (weights, epoch) generation for the whole batch.
-func (s *EpochScorer) ScoreBatchInto(ids []int, out []float64) error {
-	if len(out) != len(ids) {
-		return fmt.Errorf("%w: %d for %d ids", ErrOutputLen, len(out), len(ids))
-	}
-	n := s.store.Rows()
-	for _, id := range ids {
-		if id < 0 || id >= n {
-			return fmt.Errorf("%w: %d not in [0,%d)", ErrRowRange, id, n)
-		}
-	}
-	s.gather(ids, out)
-	return nil
-}
-
-// ScoreAll serves every row in order at one (weights, epoch) generation.
-func (s *EpochScorer) ScoreAll() []float64 {
-	out := make([]float64, s.store.Rows())
-	s.gather(nil, out)
-	return out
-}
-
-// gather snapshots the current generation once and runs the shared
-// kernel — the same code path Scorer uses, so epoch-aware scoring stays
-// bit-identical to a fresh Scorer over the same epoch.
-func (s *EpochScorer) gather(ids []int, out []float64) {
-	s.mu.RLock()
-	st := s.st
-	s.mu.RUnlock()
-	gatherInto(ids, out, s.isAssign, s.kAssign, st.sw, st.parts, s.head == Logistic, 1)
 }

@@ -20,14 +20,13 @@ type gateScorer struct {
 
 func (g *gateScorer) Rows() int { return g.rows }
 
-func (g *gateScorer) ScoreBatch(ids []int) ([]float64, error) {
+func (g *gateScorer) ScoreBatchInto(ids []int, out []float64) error {
 	g.calls.Add(1)
 	<-g.gate
-	out := make([]float64, len(ids))
 	for i, id := range ids {
 		out[i] = float64(id)
 	}
-	return out, nil
+	return nil
 }
 
 // TestBatcherOverloadRejectsFast is the admission-control gate: with the

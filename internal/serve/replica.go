@@ -2,8 +2,6 @@ package serve
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/la"
@@ -11,73 +9,31 @@ import (
 
 // Replica is one member of a serving fleet: the scoring surface the
 // Router fans batches out to, plus the management surface fleet-wide
-// operations (weight updates) apply through. Scorer, ShardedScorer,
-// EpochScorer, and Router itself all satisfy it, so fleets compose —
-// instrumentation wrappers only need to embed a Replica and override
-// the calls they care about.
+// operations (weight updates) apply through. Scorer and Router both
+// satisfy it, so fleets compose — instrumentation wrappers only need to
+// embed a Replica and override the calls they care about.
 type Replica interface {
 	BatchScorer
-	// ScoreBatchInto scores ids into the caller-owned out slice
-	// (len(out) == len(ids)) without allocating — the steady-state
-	// request path.
-	ScoreBatchInto(ids []int, out []float64) error
 	// UpdateWeights atomically replaces this replica's model.
 	UpdateWeights(w *la.Dense) error
 }
 
-// IntoScorer is the optional allocation-free capability the Batcher
-// probes its backend for: when present, coalesced batches are scored
-// into pooled buffers instead of allocating a fresh score slice per
-// batch.
-type IntoScorer interface {
-	ScoreBatchInto(ids []int, out []float64) error
-}
+var _ Replica = (*Scorer)(nil)
 
-// Every scorer flavor is a fleet-capable replica.
-var (
-	_ Replica = (*Scorer)(nil)
-	_ Replica = (*ShardedScorer)(nil)
-	_ Replica = (*EpochScorer)(nil)
-)
-
-// ShardedScorer is the hash-sharded fleet member: slice shard of `of`
-// replicas, owning the rows with id ≡ shard (mod of). Its entity-side
-// partial cache S·wS holds only the owned rows — stored compacted at
-// local index id/of — so a fleet of `of` sharded replicas holds the
-// row-indexed cache exactly once across the fleet instead of once per
-// replica. The per-attribute-table partials R_t·w_{R_t} are kept whole
-// on every replica: they are indexed by attribute tuple, not by row, and
-// in the paper's high-tuple-ratio regime (nS ≫ nR_t) they are the small
-// side of the cache.
-//
-// For M:N schemas (IS indicator present) the entity cache is indexed by
-// entity tuple, which many rows share, so it cannot be row-sliced; the
-// replica then keeps the whole sw vector and only the routing is
-// sharded. CacheRows reports what this replica actually holds.
-//
-// Scoring a row outside the owned slice fails with ErrNotOwned; the
-// Router never routes one. Concurrency semantics match Scorer: every
-// batch snapshots one weight version.
-type ShardedScorer struct {
-	nm        *core.NormalizedMatrix
-	head      Head
-	shard, of int
-	sliced    bool // sw compacted to owned rows (si = id/of)
-
-	isAssign []int32
-	kAssign  [][]int32
-
-	mu    sync.RWMutex
-	w     *la.Dense
-	sw    []float64
-	parts [][]float64
-}
+// ShardedScorer is the historical name of a Scorer built by
+// NewShardedScorer: one hash slice of a fleet.
+type ShardedScorer = Scorer
 
 // NewShardedScorer builds slice shard of an `of`-way hash-sharded fleet
-// over nm. Arguments match NewScorer, plus the shard coordinates:
-// 0 <= shard < of. The full partial products are computed once and the
-// entity-side cache is then compacted to the owned rows, so the values a
-// sharded fleet serves are bit-identical to a single Scorer's.
+// over nm: the scorer owns the rows with id ≡ shard (mod of). Arguments
+// match NewScorer, plus the shard coordinates 0 <= shard < of. A fleet
+// of `of` sharded scorers holds the row-indexed entity cache exactly once
+// across the fleet instead of once per replica; the attribute-table
+// partials R_t·w_{R_t} are indexed by attribute tuple, not by row, and
+// are kept whole on every replica (in the paper's high-tuple-ratio regime
+// they are the small side of the cache). The full partial products are
+// computed once and then compacted, so a sharded fleet serves values
+// bit-identical to a single Scorer's.
 func NewShardedScorer(nm *core.NormalizedMatrix, w *la.Dense, head Head, shard, of int) (*ShardedScorer, error) {
 	if nm == nil {
 		return nil, errors.New("serve: nil normalized matrix")
@@ -85,137 +41,21 @@ func NewShardedScorer(nm *core.NormalizedMatrix, w *la.Dense, head Head, shard, 
 	if nm.IsTransposed() {
 		return nil, errors.New("serve: scorer requires an untransposed normalized matrix (rows are prediction units)")
 	}
-	if head != Linear && head != Logistic {
-		return nil, fmt.Errorf("serve: unknown head %d", int(head))
-	}
-	if of < 1 || shard < 0 || shard >= of {
-		return nil, fmt.Errorf("serve: shard %d of %d out of range", shard, of)
-	}
-	s := &ShardedScorer{nm: nm, head: head, shard: shard, of: of}
-	if is := nm.IS(); is != nil {
-		s.isAssign = is.Assignments()
-	}
-	s.kAssign = make([][]int32, nm.NumTables())
-	for t, k := range nm.Ks() {
-		s.kAssign[t] = k.Assignments()
-	}
-	s.sliced = s.isAssign == nil && of > 1
-	wCol, err := asWeightColumn(w, nm.Cols())
+	s, wCol, err := newScorer(nm, w, head, shard, of)
 	if err != nil {
 		return nil, err
 	}
-	s.w = wCol
-	s.sw, s.parts = s.computeShardCaches(wCol)
+	s.nm = nm
+	s.gen = s.computeGeneration(nm.S(), nm.Rs(), wCol)
 	return s, nil
 }
 
-// computeShardCaches evaluates the full partial products through the
-// same arithmetic as Scorer (bit-identical values) and compacts the
-// entity-side cache to the owned slice. The full S·wS product exists
-// only transiently here; the steady-state footprint is the slice.
-func (s *ShardedScorer) computeShardCaches(wCol *la.Dense) ([]float64, [][]float64) {
-	sw, parts := computeCaches(s.nm, wCol)
-	if !s.sliced || sw == nil {
-		return sw, parts
-	}
-	owned := make([]float64, 0, (len(sw)-s.shard+s.of-1)/s.of)
-	for j := s.shard; j < len(sw); j += s.of {
-		owned = append(owned, sw[j])
-	}
-	return owned, parts
-}
+// Shard reports this scorer's slice index (0 for a full scorer).
+func (s *Scorer) Shard() int { return s.shard }
 
-// Rows reports the fleet-wide row count (ownership is a routing concern,
-// not a shape change).
-func (s *ShardedScorer) Rows() int { return s.nm.Rows() }
+// Of reports the fleet width the slice was cut for (1 for a full scorer).
+func (s *Scorer) Of() int { return s.of }
 
-// Shard reports this replica's slice index.
-func (s *ShardedScorer) Shard() int { return s.shard }
-
-// Of reports the fleet width the slice was cut for.
-func (s *ShardedScorer) Of() int { return s.of }
-
-// Head reports the configured link function.
-func (s *ShardedScorer) Head() Head { return s.head }
-
-// CacheRows reports how many entity-side partial entries this replica
+// CacheRows reports how many entity-side partial entries this scorer
 // holds — the sliced footprint a fleet memory audit sums.
-func (s *ShardedScorer) CacheRows() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.sw)
-}
-
-// Owns reports whether row id belongs to this replica's slice.
-func (s *ShardedScorer) Owns(id int) bool {
-	return id >= 0 && id < s.nm.Rows() && id%s.of == s.shard
-}
-
-// UpdateWeights atomically replaces the model, recomputing and
-// re-slicing the cached partials outside the lock.
-func (s *ShardedScorer) UpdateWeights(w *la.Dense) error {
-	wCol, err := asWeightColumn(w, s.nm.Cols())
-	if err != nil {
-		return err
-	}
-	sw, parts := s.computeShardCaches(wCol)
-	s.mu.Lock()
-	s.w, s.sw, s.parts = wCol, sw, parts
-	s.mu.Unlock()
-	return nil
-}
-
-// Weights returns a copy of the current d×1 weight vector.
-func (s *ShardedScorer) Weights() *la.Dense {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.w.Clone()
-}
-
-// ScoreBatch serves predictions for owned row ids under one weight
-// snapshot, like Scorer.ScoreBatch restricted to the slice.
-func (s *ShardedScorer) ScoreBatch(ids []int) ([]float64, error) {
-	out := make([]float64, len(ids))
-	if err := s.ScoreBatchInto(ids, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ScoreBatchInto scores owned ids into the caller-owned out slice
-// without allocating. Ids outside [0, Rows()) fail with ErrRowRange;
-// rows of another slice fail with ErrNotOwned.
-func (s *ShardedScorer) ScoreBatchInto(ids []int, out []float64) error {
-	if len(out) != len(ids) {
-		return fmt.Errorf("%w: %d for %d ids", ErrOutputLen, len(out), len(ids))
-	}
-	n := s.nm.Rows()
-	for _, id := range ids {
-		if id < 0 || id >= n {
-			return fmt.Errorf("%w: %d not in [0,%d)", ErrRowRange, id, n)
-		}
-		if id%s.of != s.shard {
-			return fmt.Errorf("%w: row %d belongs to shard %d, this is shard %d of %d", ErrNotOwned, id, id%s.of, s.shard, s.of)
-		}
-	}
-	s.mu.RLock()
-	sw, parts := s.sw, s.parts
-	s.mu.RUnlock()
-	div := 1
-	if s.sliced {
-		div = s.of
-	}
-	gatherInto(ids, out, s.isAssign, s.kAssign, sw, parts, s.head == Logistic, div)
-	return nil
-}
-
-// ScoreRow serves a single owned row.
-func (s *ShardedScorer) ScoreRow(id int) (float64, error) {
-	var ids [1]int
-	var out [1]float64
-	ids[0] = id
-	if err := s.ScoreBatchInto(ids[:], out[:]); err != nil {
-		return 0, err
-	}
-	return out[0], nil
-}
+func (s *Scorer) CacheRows() int { return len(s.current().sw) }

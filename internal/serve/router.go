@@ -70,8 +70,8 @@ type RouterStats struct {
 // version across every replica it touches. UpdateWeights is a fleet-wide
 // barrier — it excludes in-flight batches, updates every replica, then
 // readmits — so even a hash-sharded batch split across N replicas never
-// mixes weight versions. Epoch fleets (replicas backed by EpochScorer
-// over one epoch.Store) forward each batch whole to a single replica,
+// mixes weight versions. Epoch fleets (epoch-backed Scorers over one
+// epoch.Store) forward each batch whole to a single replica,
 // whose own generation snapshot guarantees one (weights, epoch) pair per
 // batch; commits reach every replica synchronously inside Store.Commit.
 type Router struct {
@@ -101,8 +101,9 @@ type routeScratch struct {
 
 // NewRouter builds a router over an explicit replica fleet. All replicas
 // must agree on Rows. Under HashSharded placement, replica k must accept
-// exactly the rows with id ≡ k (mod len(replicas)) — NewShardedScorer
-// with matching (shard, of) coordinates, or any wrapper around one.
+// the rows with id ≡ k (mod len(replicas)): a Scorer that owns every row,
+// a NewShardedScorer with matching (shard, of) coordinates, or any
+// wrapper around one.
 func NewRouter(replicas []Replica, placement Placement) (*Router, error) {
 	if len(replicas) == 0 {
 		return nil, errors.New("serve: router needs at least one replica")
@@ -118,10 +119,11 @@ func NewRouter(replicas []Replica, placement Placement) (*Router, error) {
 		if r.Rows() != rows {
 			return nil, fmt.Errorf("serve: replica %d serves %d rows, replica 0 serves %d", i, r.Rows(), rows)
 		}
-		if sh, ok := r.(*ShardedScorer); ok && placement == HashSharded {
-			if sh.Shard() != i || sh.Of() != len(replicas) {
+		// A full scorer owns every row, so it may sit at any position.
+		if sc, ok := r.(*Scorer); ok && placement == HashSharded && sc.of != 1 {
+			if sc.shard != i || sc.of != len(replicas) {
 				return nil, fmt.Errorf("serve: replica %d is shard %d of %d, want shard %d of %d",
-					i, sh.Shard(), sh.Of(), i, len(replicas))
+					i, sc.shard, sc.of, i, len(replicas))
 			}
 		}
 	}
@@ -134,7 +136,7 @@ func NewRouter(replicas []Replica, placement Placement) (*Router, error) {
 }
 
 // NewScorerFleet builds an n-replica fleet over an immutable feature
-// store: n ShardedScorers under HashSharded placement (the entity-side
+// store: n sharded Scorers under HashSharded placement (the entity-side
 // cache exists once across the fleet), or n independent full Scorers
 // under Replicated placement. n = 1 degenerates to a single-scorer
 // router either way.
@@ -157,7 +159,7 @@ func NewScorerFleet(nm *core.NormalizedMatrix, w *la.Dense, head Head, n int, pl
 	return NewRouter(replicas, placement)
 }
 
-// NewEpochFleet builds an n-replica fleet of EpochScorers over one
+// NewEpochFleet builds an n-replica fleet of epoch-backed Scorers over one
 // versioned store, under Replicated placement: each replica subscribes
 // to the store and patches its own cached partials inside Store.Commit,
 // so when Commit returns every replica already serves the new epoch.

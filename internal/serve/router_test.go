@@ -166,8 +166,9 @@ func TestShardedScorerOwnership(t *testing.T) {
 	}
 }
 
-// TestRouterValidation covers fleet construction errors: empty fleets,
-// mismatched shard coordinates, and unknown placements.
+// TestRouterValidation covers fleet construction: empty fleets,
+// mismatched shard coordinates, and unknown placements are rejected;
+// full scorers are accepted at any hash position.
 func TestRouterValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	nm := randPKFK(rng, false)
@@ -195,6 +196,26 @@ func TestRouterValidation(t *testing.T) {
 	}
 	if rt, err := NewRouter([]Replica{b, a}, HashSharded); err != nil || rt.NumReplicas() != 2 {
 		t.Fatalf("correct fleet rejected: %v", err)
+	}
+	// Full scorers own every row, so they sit at any hash position and
+	// the fleet scores exactly as one of them does.
+	f0, err := NewScorer(nm, w, Linear)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1, err := NewScorer(nm, w, Linear)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRouter([]Replica{f0, f1}, HashSharded)
+	if err != nil {
+		t.Fatalf("full scorers rejected under hash sharding: %v", err)
+	}
+	got, want := rt.ScoreAll(), f0.ScoreAll()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("full-scorer fleet row %d: %v want %v", i, got[i], want[i])
+		}
 	}
 }
 

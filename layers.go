@@ -235,29 +235,26 @@ var (
 
 // Serving layer (internal/serve): a three-layer scoring fleet over a
 // normalized feature store with cached attribute-table partial products
-// (T·w = S·wS + Σ K_i·(R_i·w_{R_i}), precomputed per model): Replicas
-// (Scorer / ShardedScorer / EpochScorer) gather cached partials, the
-// Router places batches across a fleet of them (hash-sharded or
-// replicated) under a fleet-wide weight barrier, and the Batcher
-// coalesces callers behind a bounded admission queue that fails fast
-// with ErrOverloaded instead of queueing without bound.
+// (T·w = S·wS + Σ K_i·(R_i·w_{R_i}), precomputed per model): Scorers
+// gather cached partials, the Router places batches across a fleet of
+// them (hash-sharded or replicated) under a fleet-wide weight barrier,
+// and the Batcher coalesces callers behind a bounded admission queue
+// that fails fast with ErrOverloaded instead of queueing without bound.
 
 // Scorer answers single-row and batch prediction requests from cached
-// partials; weights swap atomically via UpdateWeights.
+// partials; weights swap atomically via UpdateWeights. One type covers
+// every fleet member: it owns all rows or one hash slice (Shard, Of),
+// over an immutable store or subscribed to an EpochStore.
 type Scorer = serve.Scorer
 
-// ShardedScorer is one hash-slice of a fleet: it owns rows id ≡ shard
-// (mod of) and holds the entity-side partial cache only for its slice.
+// ShardedScorer is an alias of Scorer: the name NewShardedScorer's
+// result (one hash slice of a fleet, rows id ≡ shard mod of) goes by.
 type ShardedScorer = serve.ShardedScorer
 
 // ScoreReplica is one fleet member behind the Router: the batch scoring
 // surface plus fleet-wide weight management. Routers nest — a Router is
 // itself a ScoreReplica.
 type ScoreReplica = serve.Replica
-
-// IntoScorer is the allocation-free capability the Batcher probes its
-// backend for (ScoreBatchInto into caller-owned buffers).
-type IntoScorer = serve.IntoScorer
 
 // ScoreRouter fans scoring batches across a replica fleet and merges
 // results in request order, with UpdateWeights applied fleet-wide.
@@ -288,7 +285,8 @@ type BatchOptions = serve.BatchOptions
 // peak queue depth.
 type BatcherStats = serve.BatcherStats
 
-// BatchScorer is the backend contract a Batcher coalesces over.
+// BatchScorer is the backend contract a Batcher coalesces over: Rows plus
+// allocation-free ScoreBatchInto.
 type BatchScorer = serve.BatchScorer
 
 // ScoreHead selects the scorer's link function.
@@ -343,11 +341,13 @@ type EpochTableDelta = epoch.TableDelta
 // into chunked storage or assembled into a NormalizedMatrix.
 type EpochSnapshot = epoch.Snapshot
 
-// EpochScorer scores over an EpochStore, patching its cached partial
-// products incrementally per commit.
+// EpochScorer is an alias of Scorer: the name NewEpochScorer's result (a
+// scorer subscribed to an EpochStore, patching its cached partial
+// products incrementally per commit) goes by.
 type EpochScorer = serve.EpochScorer
 
-// EpochPatchStats counts an EpochScorer's incremental maintenance work.
+// EpochPatchStats counts an epoch-backed Scorer's incremental maintenance
+// work.
 type EpochPatchStats = serve.PatchStats
 
 // ChunkRowSource is the row-streaming seam through which epoch snapshots
