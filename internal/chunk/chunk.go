@@ -31,6 +31,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"sync"
 
@@ -110,6 +111,8 @@ type Store struct {
 	refs    map[string]*chunkInfo
 	orphans int // stale spill files reaped at startup
 	closed  bool
+
+	pushdownFallbacks int // shard /exec groups that degraded to the read path
 }
 
 // NewStore creates (if needed) and wraps a single-directory chunk store —
@@ -463,16 +466,21 @@ type IOStats struct {
 	ChunksSkipped int   `json:"chunks_skipped,omitempty"` // reads avoided via zone maps
 	BytesSkipped  int64 `json:"bytes_skipped,omitempty"`  // stored bytes of the avoided reads
 	BytesOnWire   int64 `json:"bytes_on_wire,omitempty"`  // chunk payload bytes that crossed remote-shard connections
+
+	PushdownFallbacks int `json:"pushdown_fallbacks,omitempty"` // pushdown shard groups that fell back to reading their chunks
 }
 
 // IOStats reports what the store's passes actually moved: blobs fetched
 // (at their stored size, so compression shows up as fewer bytes), reads
 // avoided because a zone map proved the chunk all-zero, and — for stores
 // with remote shards anywhere in their wrapper chains — the chunk payload
-// bytes that crossed the network.
+// bytes that crossed the network. PushdownFallbacks counts the shard
+// groups of pushdown passes whose /exec stream failed (no endpoint, cut
+// stream, corrupt partial), so their remaining chunks were read back and
+// mapped locally instead.
 func (s *Store) IOStats() IOStats {
 	s.mu.Lock()
-	var out IOStats
+	out := IOStats{PushdownFallbacks: s.pushdownFallbacks}
 	backends := make([]Backend, len(s.shards))
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -742,6 +750,16 @@ func (s *Store) noteSkip(key string) {
 	}
 	s.shards[info.shard].chunksSkipped++
 	s.shards[info.shard].bytesSkipped += info.bytes
+}
+
+// notePushdownFallback counts one shard group of a pushdown pass that
+// fell back to the read path, and logs why.
+func (s *Store) notePushdownFallback(shard string, op string, chunks int, err error) {
+	s.mu.Lock()
+	s.pushdownFallbacks++
+	s.mu.Unlock()
+	slog.Warn("chunk: pushdown fell back to the read path",
+		"shard", shard, "op", op, "chunks", chunks, "err", err)
 }
 
 // readDenseChunk fetches key from its shard backend and decodes it as a

@@ -224,7 +224,8 @@ func sendRes(ch chan<- pushRes, done <-chan struct{}, r pushRes) bool {
 // failure — the endpoint missing, the stream cut mid-partial, a corrupt
 // frame — drops this chunk and the rest of the group to the passive
 // ReadChunk + local-map path; only a failure of that path too errors the
-// pass.
+// pass. Each fallback is counted in the store's IOStats and logged with
+// its cause.
 func (src opSource) runRemoteGroup(st opState, op Op, eb ExecBackend, cis []int, out chan<- pushRes, done <-chan struct{}) {
 	fallback := func(ci int) bool {
 		c, err := src.read(ci)
@@ -243,6 +244,7 @@ func (src opSource) runRemoteGroup(st opState, op Op, eb ExecBackend, cis []int,
 	}
 	ps, err := eb.ExecOp(op, src.kind, src.cols, chunks)
 	if err != nil {
+		src.store.notePushdownFallback(eb.Name(), op.Name, len(cis), err)
 		for _, ci := range cis {
 			if !fallback(ci) {
 				return
@@ -265,6 +267,7 @@ func (src opSource) runRemoteGroup(st opState, op Op, eb ExecBackend, cis []int,
 		// Stream dead or partial corrupt: the rest of the group falls
 		// back to the passive path.
 		ps.Close()
+		src.store.notePushdownFallback(eb.Name(), op.Name, len(cis)-i, err)
 		for _, rest := range cis[i:] {
 			if !fallback(rest) {
 				return

@@ -1,9 +1,12 @@
 package chunk
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -234,12 +237,20 @@ func TestPushdownFallsBackOnOldServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	logged := captureFallbackLogs(t)
 	got, err := dM.CrossProdExec(exPush)
 	if err != nil {
 		t.Fatalf("pushdown against a pre-/exec server: %v", err)
 	}
-	if la.MaxAbsDiff(want, got) != 0 {
+	if !sameFloatBits(want, got) {
 		t.Fatal("fallback results diverged from the local pass")
+	}
+	// The degradation is not silent: one counted, logged fallback.
+	if n := s.IOStats().PushdownFallbacks; n != 1 {
+		t.Fatalf("PushdownFallbacks = %d after one pass against a pre-/exec server, want 1", n)
+	}
+	if n := logged(); n != 1 {
+		t.Fatalf("%d fallback log records, want 1", n)
 	}
 	if n := old.execs.Load(); n != 1 {
 		t.Fatalf("probed /exec %d times, want exactly 1", n)
@@ -308,6 +319,45 @@ func (s *cutExecServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.inner.ServeHTTP(w, r)
 }
 
+// captureFallbackLogs routes the default slog logger into a buffer for
+// the rest of the test and returns a counter of the pushdown-fallback
+// records written so far. Records are written before the fallen-back
+// chunks' results reach the committer, so a count taken after a pass
+// returns sees all of that pass's records.
+func captureFallbackLogs(t *testing.T) func() int {
+	t.Helper()
+	var buf bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&buf, nil)))
+	t.Cleanup(func() { slog.SetDefault(prev) })
+	return func() int {
+		n := 0
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.Contains(line, "pushdown fell back") {
+				if !strings.Contains(line, "err=") {
+					t.Errorf("fallback record without a reason: %s", line)
+				}
+				n++
+			}
+		}
+		return n
+	}
+}
+
+// sameFloatBits reports whether a and b agree bit for bit.
+func sameFloatBits(a, b *la.Dense) bool {
+	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
+		return false
+	}
+	bd := b.Data()
+	for i, v := range a.Data() {
+		if math.Float64bits(v) != math.Float64bits(bd[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestPushdownMidStreamCutFallsBack: a worker that dies mid-partial does
 // not fail the pass or skew the result — the cut is detected (framed
 // stream, no end frame) and the affected chunks rerun through the passive
@@ -346,17 +396,32 @@ func TestPushdownMidStreamCutFallsBack(t *testing.T) {
 	baselineChunks, baselineBytes := s.LiveChunks(), s.BytesOnDisk()
 
 	exPush := Exec{Workers: 4, Prefetch: 3, Pushdown: true}
+	logged := captureFallbackLogs(t)
+	if _, err := dM.CrossProdExec(exPush); err != nil {
+		t.Fatal(err)
+	}
+	if n, l := s.IOStats().PushdownFallbacks, logged(); n != 0 || l != 0 {
+		t.Fatalf("clean pushdown pass counted %d fallbacks and logged %d", n, l)
+	}
 	// Cut at every interesting offset: before any frame, mid-header,
 	// mid-payload, and after a whole first partial (7×7×8 B + blob header
 	// + frame header).
-	for _, cutAfter := range []int{0, 5, 100, 9 + 16 + 7*7*8} {
+	for i, cutAfter := range []int{0, 5, 100, 9 + 16 + 7*7*8} {
 		cut.arm(cutAfter, false)
 		got, err := dM.CrossProdExec(exPush)
 		if err != nil {
 			t.Fatalf("cut after %d bytes: pass failed instead of falling back: %v", cutAfter, err)
 		}
-		if la.MaxAbsDiff(want, got) != 0 {
+		if !sameFloatBits(want, got) {
 			t.Fatalf("cut after %d bytes: fallback result diverged", cutAfter)
+		}
+		// One remote shard, one /exec group per pass: each cut pass
+		// counts and logs exactly one fallback.
+		if n := s.IOStats().PushdownFallbacks; n != i+1 {
+			t.Fatalf("cut after %d bytes: PushdownFallbacks = %d, want %d", cutAfter, n, i+1)
+		}
+		if n := logged(); n != i+1 {
+			t.Fatalf("cut after %d bytes: %d fallback log records, want %d", cutAfter, n, i+1)
 		}
 		if s.LiveChunks() != baselineChunks || s.BytesOnDisk() != baselineBytes {
 			t.Fatalf("cut after %d bytes: accounting moved off baseline (%d chunks, %d bytes)",

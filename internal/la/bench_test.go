@@ -14,12 +14,23 @@ func benchDense(n, d int) *Dense {
 	return randDense(rng, n, d)
 }
 
+// BenchmarkGEMM covers square products and the skinny ones the ML drivers
+// issue: T·C for k-means centroids (the chunked k-means chunk shape,
+// 1500×100·100×8) and T·w for a GLM (n = 1).
 func BenchmarkGEMM(b *testing.B) {
-	for _, n := range []int{64, 256} {
-		a := benchDense(n, n)
-		c := benchDense(n, n)
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			b.ReportMetric(float64(2*n*n*n), "flops/op")
+	for _, sh := range []struct {
+		name    string
+		m, k, n int
+	}{
+		{"n64", 64, 64, 64},
+		{"n256", 256, 256, 256},
+		{"1500x100x8", 1500, 100, 8},
+		{"1500x100x1", 1500, 100, 1},
+	} {
+		a := benchDense(sh.m, sh.k)
+		c := benchDense(sh.k, sh.n)
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportMetric(float64(2*sh.m*sh.k*sh.n), "flops/op")
 			for i := 0; i < b.N; i++ {
 				MatMul(a, c)
 			}
@@ -42,12 +53,34 @@ func BenchmarkCrossProdDense(b *testing.B) {
 	}
 }
 
+// BenchmarkCSRMul and BenchmarkCSRTMul time the sparse products at the
+// widths the GLM (n = 1: T·w, Tᵀ·p), k-means (n = 10: T·C) and a small
+// block (n = 8) use.
 func BenchmarkCSRMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	c, _ := randCSR(rng, 8192, 512, 0.02)
-	x := benchDense(512, 8)
-	for i := 0; i < b.N; i++ {
-		c.Mul(x)
+	for _, n := range []int{1, 8, 10} {
+		x := benchDense(512, n)
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			b.ReportMetric(float64(2*c.NNZ()*n), "flops/op")
+			for i := 0; i < b.N; i++ {
+				c.Mul(x)
+			}
+		})
+	}
+}
+
+func BenchmarkCSRTMul(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	c, _ := randCSR(rng, 8192, 512, 0.02)
+	for _, n := range []int{1, 10} {
+		x := benchDense(8192, n)
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			b.ReportMetric(float64(2*c.NNZ()*n), "flops/op")
+			for i := 0; i < b.N; i++ {
+				c.TMul(x)
+			}
+		})
 	}
 }
 
@@ -68,12 +101,18 @@ func BenchmarkIndicatorGather(b *testing.B) {
 	}
 }
 
+// BenchmarkIndicatorScatter times Kᵀ·Z, one add per row and column of Z.
 func BenchmarkIndicatorScatter(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	k := randIndicator(rng, 100_000, 1000)
-	z := benchDense(100_000, 8)
-	for i := 0; i < b.N; i++ {
-		k.TMul(z)
+	for _, n := range []int{1, 8} {
+		z := benchDense(100_000, n)
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			b.ReportMetric(float64(100_000*n), "flops/op")
+			for i := 0; i < b.N; i++ {
+				k.TMul(z)
+			}
+		})
 	}
 }
 

@@ -19,59 +19,68 @@ func MatMul(a, b *Dense) *Dense {
 
 func matMulRange(out, a, b *Dense, lo, hi int) {
 	n := b.cols
+	if n == 1 {
+		// Matrix-vector: one register accumulator per output element,
+		// summing in the same k order (and with the same zero skip) as
+		// the general kernel, so the result is bitwise identical.
+		for i := lo; i < hi; i++ {
+			arow := a.Row(i)
+			bv := b.data[:len(arow)]
+			s := 0.0
+			for k, aik := range arow {
+				if aik == 0 {
+					continue
+				}
+				s += aik * bv[k]
+			}
+			out.data[i] = s
+		}
+		return
+	}
 	const kb = 256
 	for k0 := 0; k0 < a.cols; k0 += kb {
 		k1 := min(k0+kb, a.cols)
 		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
+			arow := a.Row(i)[k0:k1]
 			orow := out.Row(i)
-			for k := k0; k < k1; k++ {
-				aik := arow[k]
+			bd := b.data[k0*n : k1*n]
+			for k, aik := range arow {
 				if aik == 0 {
 					continue
 				}
-				brow := b.data[k*n : (k+1)*n]
-				axpy(orow, brow, aik)
+				axpy(orow, bd[k*n:(k+1)*n], aik)
 			}
 		}
 	}
 }
 
-// axpy computes dst += alpha*src with 4-way unrolling.
+// axpy computes dst += alpha*src. It is kept small enough to inline: the
+// skinny products (n = 1..10 columns) that dominate the GLM and k-means
+// drivers call it once per non-zero, where a call frame costs more than
+// the arithmetic.
 func axpy(dst, src []float64, alpha float64) {
-	n := len(dst)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dst[i] += alpha * src[i]
-		dst[i+1] += alpha * src[i+1]
-		dst[i+2] += alpha * src[i+2]
-		dst[i+3] += alpha * src[i+3]
-	}
-	for ; i < n; i++ {
-		dst[i] += alpha * src[i]
+	src = src[:len(dst)]
+	for i, s := range src {
+		dst[i] += alpha * s
 	}
 }
 
-// TMatMul computes aᵀ·b without materializing aᵀ. Parallelism is over rows
-// of a with per-chunk partial accumulators merged in chunk order, so the
-// result is deterministic for a fixed GOMAXPROCS (merging in goroutine
-// completion order would make every call a slightly different float sum).
-func TMatMul(a, b *Dense) *Dense {
-	if a.rows != b.rows {
-		panic(fmt.Sprintf("la: TMatMul %dx%d ᵀ· %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	work := a.rows * a.cols * b.cols
-	chunks := parallelChunks(a.rows, work)
-	if chunks == 1 {
-		out := NewDense(a.cols, b.cols)
-		tMatMulRange(out, a, b, 0, a.rows)
+// reduceRows runs body over `chunks` contiguous ranges of the rows [0,n),
+// each accumulating into its own r×c partial, and sums the partials in
+// chunk order. Merging in chunk order rather than goroutine completion
+// order keeps the result deterministic for a fixed chunk count (that is,
+// for a fixed GOMAXPROCS); with one chunk body writes the result directly.
+func reduceRows(n, chunks, r, c int, body func(out *Dense, lo, hi int)) *Dense {
+	if chunks <= 1 || n < 2 {
+		out := NewDense(r, c)
+		body(out, 0, n)
 		return out
 	}
 	parts := make([]*Dense, chunks)
-	parallelForChunked(a.rows, chunks, func(c, lo, hi int) {
-		p := NewDense(a.cols, b.cols)
-		tMatMulRange(p, a, b, lo, hi)
-		parts[c] = p
+	parallelForChunked(n, chunks, func(ch, lo, hi int) {
+		p := NewDense(r, c)
+		body(p, lo, hi)
+		parts[ch] = p
 	})
 	acc := parts[0]
 	for _, p := range parts[1:] {
@@ -82,16 +91,43 @@ func TMatMul(a, b *Dense) *Dense {
 	return acc
 }
 
+// TMatMul computes aᵀ·b without materializing aᵀ. Parallelism is over rows
+// of a with per-chunk partial accumulators (see reduceRows).
+func TMatMul(a, b *Dense) *Dense {
+	if a.rows != b.rows {
+		panic(fmt.Sprintf("la: TMatMul %dx%d ᵀ· %dx%d", a.rows, a.cols, b.rows, b.cols))
+	}
+	chunks := parallelChunks(a.rows, a.rows*a.cols*b.cols)
+	return reduceRows(a.rows, chunks, a.cols, b.cols, func(out *Dense, lo, hi int) {
+		tMatMulRange(out, a, b, lo, hi)
+	})
+}
+
 func tMatMulRange(out, a, b *Dense, lo, hi int) {
 	n := b.cols
+	if n == 1 {
+		// aᵀ·v: scatter the scalar b[r] along row r of a.
+		for r := lo; r < hi; r++ {
+			arow := a.Row(r)
+			o := out.data[:len(arow)]
+			bv := b.data[r]
+			for j, av := range arow {
+				if av == 0 {
+					continue
+				}
+				o[j] += av * bv
+			}
+		}
+		return
+	}
+	od := out.data[:a.cols*n]
 	for r := lo; r < hi; r++ {
-		arow := a.Row(r)
-		brow := b.data[r*n : (r+1)*n]
-		for j, av := range arow {
+		brow := b.Row(r)
+		for j, av := range a.Row(r) {
 			if av == 0 {
 				continue
 			}
-			axpy(out.data[j*n:(j+1)*n], brow, av)
+			axpy(od[j*n:(j+1)*n], brow, av)
 		}
 	}
 }
@@ -133,28 +169,10 @@ func dot(x, y []float64) float64 {
 // efficient factorized cross-product (Algorithm 2).
 func (m *Dense) CrossProd() *Dense {
 	d := m.cols
-	work := m.rows * d * d / 2
-	chunks := parallelChunks(m.rows, work)
-	if chunks == 1 {
-		out := NewDense(d, d)
-		crossRange(out, m, 0, m.rows)
-		mirrorLower(out)
-		return out
-	}
-	// Per-chunk partials merged in chunk order: deterministic for a fixed
-	// GOMAXPROCS, unlike completion-order merging.
-	parts := make([]*Dense, chunks)
-	parallelForChunked(m.rows, chunks, func(c, lo, hi int) {
-		p := NewDense(d, d)
-		crossRange(p, m, lo, hi)
-		parts[c] = p
+	chunks := parallelChunks(m.rows, m.rows*d*d/2)
+	out := reduceRows(m.rows, chunks, d, d, func(out *Dense, lo, hi int) {
+		crossRange(out, m, lo, hi)
 	})
-	out := parts[0]
-	for _, p := range parts[1:] {
-		if p != nil {
-			out.AddInPlace(p)
-		}
-	}
 	mirrorLower(out)
 	return out
 }

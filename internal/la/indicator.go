@@ -90,9 +90,17 @@ func (k *Indicator) TMul(z *Dense) *Dense {
 	if z.rows != len(k.rows) {
 		panic(fmt.Sprintf("la: indicator TMul %dx%dᵀ · %dx%d", len(k.rows), k.nCols, z.rows, z.cols))
 	}
-	out := NewDense(k.nCols, z.cols)
+	n := z.cols
+	out := NewDense(k.nCols, n)
+	if n == 1 {
+		zv := z.data[:len(k.rows)]
+		for i, c := range k.rows {
+			out.data[c] += zv[i]
+		}
+		return out
+	}
 	for i, c := range k.rows {
-		axpy(out.Row(int(c)), z.Row(i), 1)
+		axpy(out.data[int(c)*n:int(c)*n+n], z.data[i*n:i*n+n], 1)
 	}
 	return out
 }

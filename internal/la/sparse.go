@@ -295,33 +295,71 @@ func (c *CSR) Mul(x *Dense) *Dense {
 	if x.rows != c.cols {
 		panic(fmt.Sprintf("la: CSR Mul %dx%d · %dx%d", c.rows, c.cols, x.rows, x.cols))
 	}
-	out := NewDense(c.rows, x.cols)
-	parallelFor(c.rows, c.NNZ()*x.cols, func(lo, hi int) {
+	n := x.cols
+	out := NewDense(c.rows, n)
+	parallelFor(c.rows, c.NNZ()*n, func(lo, hi int) {
+		if n == 1 {
+			// Sparse matrix-vector: a register accumulator per row,
+			// summing the row's non-zeros in stored order.
+			xv := x.data[:c.cols]
+			for i := lo; i < hi; i++ {
+				idx, vs := c.RowNNZ(i)
+				vs = vs[:len(idx)]
+				s := 0.0
+				for k, j := range idx {
+					s += vs[k] * xv[j]
+				}
+				out.data[i] = s
+			}
+			return
+		}
 		for i := lo; i < hi; i++ {
 			idx, vs := c.RowNNZ(i)
+			vs = vs[:len(idx)]
 			orow := out.Row(i)
 			for k, j := range idx {
-				axpy(orow, x.Row(int(j)), vs[k])
+				axpy(orow, x.data[int(j)*n:int(j)*n+n], vs[k])
 			}
 		}
 	})
 	return out
 }
 
-// TMul computes cᵀ·X without materializing the transpose.
+// TMul computes cᵀ·X without materializing the transpose. Parallelism is
+// over rows of c with per-chunk partial accumulators (see reduceRows).
 func (c *CSR) TMul(x *Dense) *Dense {
 	if x.rows != c.rows {
 		panic(fmt.Sprintf("la: CSR TMul %dx%dᵀ · %dx%d", c.rows, c.cols, x.rows, x.cols))
 	}
-	out := NewDense(c.cols, x.cols)
-	for i := 0; i < c.rows; i++ {
-		idx, vs := c.RowNNZ(i)
-		xrow := x.Row(i)
-		for k, j := range idx {
-			axpy(out.Row(int(j)), xrow, vs[k])
+	return c.tMul(x, parallelChunks(c.rows, c.NNZ()*x.cols))
+}
+
+// tMul is TMul split into the given number of row chunks.
+func (c *CSR) tMul(x *Dense, chunks int) *Dense {
+	n := x.cols
+	return reduceRows(c.rows, chunks, c.cols, n, func(out *Dense, lo, hi int) {
+		od := out.data
+		if n == 1 {
+			// cᵀ·v: scatter the scalar v[i] along row i's non-zeros.
+			for i := lo; i < hi; i++ {
+				idx, vs := c.RowNNZ(i)
+				vs = vs[:len(idx)]
+				xi := x.data[i]
+				for k, j := range idx {
+					od[j] += vs[k] * xi
+				}
+			}
+			return
 		}
-	}
-	return out
+		for i := lo; i < hi; i++ {
+			idx, vs := c.RowNNZ(i)
+			vs = vs[:len(idx)]
+			xrow := x.Row(i)
+			for k, j := range idx {
+				axpy(od[int(j)*n:int(j)*n+n], xrow, vs[k])
+			}
+		}
+	})
 }
 
 // LeftMul computes X·c (dense × sparse → dense).
