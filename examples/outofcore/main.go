@@ -4,8 +4,8 @@
 // and per-shard write-behind queues — point them at different disks for
 // real machines), trains the factorized GLM over the chunked base tables
 // under both the serial and parallel engines, extends the same pipeline
-// to a two-attribute-table star schema and a one-hot sparse table through
-// the unified chunk.Mat interface, clusters the chunked table with
+// to a two-attribute-table star schema and a one-hot sparse table (CSR
+// chunks in the same chunk.Matrix type), clusters the chunked table with
 // streamed k-means, factorizes it with streamed GNMF (chunked W factor),
 // and shows the spill-file lifecycle (Free / Close) leaving every shard
 // directory empty. Chunk heights come from a memory budget via
@@ -127,7 +127,7 @@ func main() {
 		runtime.GOMAXPROCS(0), float64(serialT)/float64(parallelT),
 		la.MaxAbsDiff(serial.W, parallel.W) == 0)
 
-	// A one-hot sparse table trains through the same chunk.Mat interface:
+	// A one-hot sparse table trains through the same drivers:
 	// CSR chunks pay I/O per non-zero, not per cell.
 	sparseT, err := buildOneHot(store, rng, nS, 512, chunk.AutoRows(memBudget, 512, ex.Workers, ex.Prefetch))
 	if err != nil {
@@ -339,7 +339,7 @@ func remoteShardDemo(rng *rand.Rand) {
 
 // buildOneHot spills an n×cols CSR table with one 1 per row, never holding
 // the whole matrix in memory more than once.
-func buildOneHot(store *chunk.Store, rng *rand.Rand, n, cols, chunkRows int) (*chunk.SparseMatrix, error) {
+func buildOneHot(store *chunk.Store, rng *rand.Rand, n, cols, chunkRows int) (*chunk.Matrix, error) {
 	b := la.NewCSRBuilder(n, cols)
 	for i := 0; i < n; i++ {
 		b.Add(i, rng.Intn(cols), 1)

@@ -28,12 +28,12 @@
 package chunk
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/la"
 )
@@ -541,15 +541,163 @@ func (s *Store) Close() error {
 	return removeAll(removals)
 }
 
-// Matrix is a dense matrix partitioned into fixed-height row chunks, each
-// persisted as a raw little-endian float64 file. Reads always go to disk:
-// the matrix is genuinely out-of-core.
+// readChunkBlob fetches key's blob from its shard backend — unless the
+// shard's zone map proves the chunk all-zero, in which case the read is
+// skipped entirely (skipped=true, no backend touched) and the caller
+// synthesizes the zero chunk the decode would have produced. Fetches and
+// skips feed the per-shard I/O accounting at the chunk's stored size, so
+// bytes_read reflects actual (possibly compressed) I/O and bytes_skipped
+// reflects what skipping avoided.
+func (s *Store) readChunkBlob(key string) (raw []byte, skipped bool, err error) {
+	s.mu.Lock()
+	info, ok := s.refs[key]
+	if !ok {
+		s.mu.Unlock()
+		return nil, false, fmt.Errorf("chunk: %s is not tracked by this store (freed or foreign)", key)
+	}
+	si := info.shard
+	stored := info.bytes
+	b := s.shards[si].backend
+	s.mu.Unlock()
+	if zb, ok := zoneMapperOf(b); ok {
+		if zm, ok := zb.ZoneMap(key); ok && zm.AllZero {
+			s.mu.Lock()
+			s.shards[si].chunksSkipped++
+			s.shards[si].bytesSkipped += stored
+			s.mu.Unlock()
+			return nil, true, nil
+		}
+	}
+	raw, err = b.ReadChunk(key)
+	if err != nil {
+		return nil, false, err
+	}
+	s.mu.Lock()
+	s.shards[si].chunksRead++
+	s.shards[si].bytesRead += stored
+	s.mu.Unlock()
+	return raw, false, nil
+}
+
+// allZeroChunk reports whether key's shard zone map proves the chunk
+// all-zero — the fact StreamOp consults to commit an identity partial
+// without scheduling any read. Never touches chunk bytes.
+func (s *Store) allZeroChunk(key string) bool {
+	s.mu.Lock()
+	info, ok := s.refs[key]
+	if !ok {
+		s.mu.Unlock()
+		return false
+	}
+	b := s.shards[info.shard].backend
+	s.mu.Unlock()
+	zb, ok := zoneMapperOf(b)
+	if !ok {
+		return false
+	}
+	zm, ok := zb.ZoneMap(key)
+	return ok && zm.AllZero
+}
+
+// noteSkip records a zone-map skip for a chunk whose read was elided above
+// the blob layer (StreamOp's identity-partial shortcut).
+func (s *Store) noteSkip(key string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	info, ok := s.refs[key]
+	if !ok {
+		return
+	}
+	s.shards[info.shard].chunksSkipped++
+	s.shards[info.shard].bytesSkipped += info.bytes
+}
+
+// notePushdownFallback counts one shard group of a pushdown pass that
+// fell back to the read path, and logs why.
+func (s *Store) notePushdownFallback(shard string, op string, chunks int, err error) {
+	s.mu.Lock()
+	s.pushdownFallbacks++
+	s.mu.Unlock()
+	slog.Warn("chunk: pushdown fell back to the read path",
+		"shard", shard, "op", op, "chunks", chunks, "err", err)
+}
+
+// trackedBytes sums the recorded written sizes of the given chunk keys;
+// untracked (freed) or not-yet-written keys contribute nothing.
+func (s *Store) trackedBytes(paths []string) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var b int64
+	for _, p := range paths {
+		if info, ok := s.refs[p]; ok && info.written {
+			b += info.bytes
+		}
+	}
+	return b
+}
+
+// writeChunkFile encodes one chunk in its format (dense or CSR, by its
+// type), stores it on the key's shard backend — annotated with its zone
+// map when the backend records them, at its compressed size when the
+// backend compresses — and attributes the stored size to that shard on
+// success.
+func (s *Store) writeChunkFile(key string, c la.Mat) error {
+	b, err := s.backendFor(key)
+	if err != nil {
+		return err
+	}
+	stored, err := writeThrough(b, key, encodeChunk(c), func() ZoneMap { return chunkZoneMap(c) })
+	if err != nil {
+		return err
+	}
+	s.recordWrite(key, stored)
+	return nil
+}
+
+// readChunk fetches key from its shard backend and decodes it as a
+// rows×cols chunk of the given kind. A zone-map-skipped read synthesizes
+// the zero chunk, which is bit-identical to what decoding would have
+// produced (AllZero admits only +0.0 dense cells and CSR chunks with no
+// stored entries).
+func (s *Store) readChunk(key, kind string, rows, cols int) (la.Mat, error) {
+	raw, skipped, err := s.readChunkBlob(key)
+	if err != nil {
+		return nil, err
+	}
+	if skipped {
+		return zeroChunk(kind, rows, cols), nil
+	}
+	return decodeChunk(kind, key, raw, rows, cols)
+}
+
+// Matrix is a matrix partitioned into fixed-height row chunks, each
+// persisted as its own little-endian blob in one of two formats: dense
+// (raw float64 rows) or CSR (see encodeSparseChunk), whose per-chunk I/O
+// is proportional to the chunk's non-zeros — which brings the one-hot
+// shapes of Table 6 out of core. Every pass delivers the decoded chunks as
+// la.Mat (concretely *la.Dense or *la.CSR), which carries the full Table 1
+// operator set, so every operator and driver is written once for both
+// formats, exactly as the in-memory rewrites are written once against
+// la.Mat. Reads always go to disk: the matrix is genuinely out-of-core.
+//
+// Stream is the fused-pass primitive: commit receives per-chunk results
+// strictly in chunk order, so reductions stay bit-identical for every
+// Exec. StreamOp is its pushdown-capable form for registered ops, and
+// StreamToMatrix spills per-chunk results as a new chunked matrix; the
+// whole-matrix operators (MulExec, TMulExec, ...) are built on them.
 type Matrix struct {
 	store      *Store
+	kind       string // chunk format: chunkKindDense or chunkKindCSR
 	rows, cols int
 	chunkRows  int
+	nnz        int64 // stored non-zeros of a CSR matrix
 	paths      []string
 	freed      bool
+}
+
+// denseMatrix registers spilled dense chunks as a matrix.
+func denseMatrix(store *Store, rows, cols, chunkRows int, paths []string) *Matrix {
+	return &Matrix{store: store, kind: chunkKindDense, rows: rows, cols: cols, chunkRows: chunkRows, paths: paths}
 }
 
 // Rows reports the number of rows.
@@ -564,8 +712,26 @@ func (m *Matrix) NumChunks() int { return len(m.paths) }
 // ChunkRows reports the chunk height.
 func (m *Matrix) ChunkRows() int { return m.chunkRows }
 
+// Sparse reports whether the chunks are stored in CSR format.
+func (m *Matrix) Sparse() bool { return m.kind == chunkKindCSR }
+
+// NNZ reports the stored entries: the non-zeros of CSR chunks, every
+// cell of dense ones.
+func (m *Matrix) NNZ() int64 {
+	if m.Sparse() {
+		return m.nnz
+	}
+	return int64(m.rows) * int64(m.cols)
+}
+
 // Store returns the chunk store backing this matrix.
 func (m *Matrix) Store() *Store { return m.store }
+
+// BytesOnDisk reports the matrix's storage footprint as the store tracks
+// it: the bytes actually written for its chunks — the compressed size when
+// a codec wrapper is in the shard's chain — not a shape-derived estimate.
+// Zero once the matrix has been freed (its files are gone).
+func (m *Matrix) BytesOnDisk() int64 { return m.store.trackedBytes(m.paths) }
 
 // Free releases the matrix's chunk files (deleting each once no other
 // Retain-ed handle references it). Freeing is idempotent; streaming a
@@ -590,7 +756,8 @@ func (m *Matrix) Retain() *Matrix {
 	if !m.freed {
 		m.store.retain(m.paths)
 	}
-	return &Matrix{store: m.store, rows: m.rows, cols: m.cols, chunkRows: m.chunkRows, paths: m.paths, freed: m.freed}
+	r := *m
+	return &r
 }
 
 func numChunks(rows, chunkRows int) int {
@@ -635,8 +802,8 @@ func FromRowSource(store *Store, src RowSource, chunkRows int) (*Matrix, error) 
 }
 
 // Build streams rows from gen (called once per chunk with the half-open row
-// range) directly to disk, so matrices larger than memory can be created.
-// On failure every chunk written so far is removed.
+// range) directly to disk as dense chunks, so matrices larger than memory
+// can be created. On failure every chunk written so far is removed.
 func Build(store *Store, rows, cols, chunkRows int, gen func(lo, hi int, dst *la.Dense)) (*Matrix, error) {
 	if chunkRows <= 0 {
 		return nil, fmt.Errorf("chunk: chunkRows must be positive, got %d", chunkRows)
@@ -645,7 +812,7 @@ func Build(store *Store, rows, cols, chunkRows int, gen func(lo, hi int, dst *la
 	if err != nil {
 		return nil, err
 	}
-	m := &Matrix{store: store, rows: rows, cols: cols, chunkRows: chunkRows, paths: paths}
+	m := denseMatrix(store, rows, cols, chunkRows, paths)
 	buf := la.NewDense(min(chunkRows, rows), cols)
 	for ci := range paths {
 		lo, hi := m.chunkBounds(ci)
@@ -664,141 +831,25 @@ func Build(store *Store, rows, cols, chunkRows int, gen func(lo, hi int, dst *la
 	return m, nil
 }
 
-// writeChunkFile encodes one dense chunk, stores it on the key's shard
-// backend — annotated with its zone map when the backend records them, at
-// its compressed size when the backend compresses — and attributes the
-// stored size to that shard on success.
-func (s *Store) writeChunkFile(key string, d *la.Dense) error {
-	b, err := s.backendFor(key)
-	if err != nil {
-		return err
+// FromCSR partitions c into CSR chunks of chunkRows rows and spills them.
+// On failure every chunk written so far is removed.
+func FromCSR(store *Store, c *la.CSR, chunkRows int) (*Matrix, error) {
+	if chunkRows <= 0 {
+		return nil, fmt.Errorf("chunk: chunkRows must be positive, got %d", chunkRows)
 	}
-	stored, err := writeThrough(b, key, encodeDenseChunk(d), func() ZoneMap { return denseZoneMap(d) })
-	if err != nil {
-		return err
-	}
-	s.recordWrite(key, stored)
-	return nil
-}
-
-// readChunkBlob fetches key's blob from its shard backend — unless the
-// shard's zone map proves the chunk all-zero, in which case the read is
-// skipped entirely (skipped=true, no backend touched) and the caller
-// synthesizes the zero chunk the decode would have produced. Fetches and
-// skips feed the per-shard I/O accounting at the chunk's stored size, so
-// bytes_read reflects actual (possibly compressed) I/O and bytes_skipped
-// reflects what skipping avoided.
-func (s *Store) readChunkBlob(key string) (raw []byte, skipped bool, err error) {
-	s.mu.Lock()
-	info, ok := s.refs[key]
-	if !ok {
-		s.mu.Unlock()
-		return nil, false, fmt.Errorf("chunk: %s is not tracked by this store (freed or foreign)", key)
-	}
-	si := info.shard
-	stored := info.bytes
-	b := s.shards[si].backend
-	s.mu.Unlock()
-	if zb, ok := zoneMapperOf(b); ok {
-		if zm, ok := zb.ZoneMap(key); ok && zm.AllZero {
-			s.mu.Lock()
-			s.shards[si].chunksSkipped++
-			s.shards[si].bytesSkipped += stored
-			s.mu.Unlock()
-			return nil, true, nil
-		}
-	}
-	raw, err = b.ReadChunk(key)
-	if err != nil {
-		return nil, false, err
-	}
-	s.mu.Lock()
-	s.shards[si].chunksRead++
-	s.shards[si].bytesRead += stored
-	s.mu.Unlock()
-	return raw, false, nil
-}
-
-// allZeroChunk reports whether key's shard zone map proves the chunk
-// all-zero — the fact runOp consults to commit an identity partial without
-// scheduling any read. Never touches chunk bytes.
-func (s *Store) allZeroChunk(key string) bool {
-	s.mu.Lock()
-	info, ok := s.refs[key]
-	if !ok {
-		s.mu.Unlock()
-		return false
-	}
-	b := s.shards[info.shard].backend
-	s.mu.Unlock()
-	zb, ok := zoneMapperOf(b)
-	if !ok {
-		return false
-	}
-	zm, ok := zb.ZoneMap(key)
-	return ok && zm.AllZero
-}
-
-// noteSkip records a zone-map skip for a chunk whose read was elided above
-// the blob layer (runOp's identity-partial shortcut).
-func (s *Store) noteSkip(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	info, ok := s.refs[key]
-	if !ok {
-		return
-	}
-	s.shards[info.shard].chunksSkipped++
-	s.shards[info.shard].bytesSkipped += info.bytes
-}
-
-// notePushdownFallback counts one shard group of a pushdown pass that
-// fell back to the read path, and logs why.
-func (s *Store) notePushdownFallback(shard string, op string, chunks int, err error) {
-	s.mu.Lock()
-	s.pushdownFallbacks++
-	s.mu.Unlock()
-	slog.Warn("chunk: pushdown fell back to the read path",
-		"shard", shard, "op", op, "chunks", chunks, "err", err)
-}
-
-// readDenseChunk fetches key from its shard backend and decodes it as a
-// rows×cols dense chunk; a zone-map-skipped read synthesizes the zero
-// chunk, which is bit-identical to what decoding would have produced
-// (AllZero admits only +0.0 cells).
-func (s *Store) readDenseChunk(key string, rows, cols int) (*la.Dense, error) {
-	raw, skipped, err := s.readChunkBlob(key)
+	paths, err := store.alloc(numChunks(c.Rows(), chunkRows))
 	if err != nil {
 		return nil, err
 	}
-	if skipped {
-		return la.NewDense(rows, cols), nil
+	m := &Matrix{store: store, kind: chunkKindCSR, rows: c.Rows(), cols: c.Cols(), chunkRows: chunkRows, nnz: int64(c.NNZ()), paths: paths}
+	for ci := range paths {
+		lo, hi := m.chunkBounds(ci)
+		if err := store.writeChunkFile(paths[ci], c.SliceRows(lo, hi)); err != nil {
+			store.release(paths)
+			return nil, err
+		}
 	}
-	return decodeDenseChunk(key, raw, rows, cols)
-}
-
-// encodeDenseChunk serializes d as raw little-endian float64 rows.
-func encodeDenseChunk(d *la.Dense) []byte {
-	data := d.Data()
-	raw := make([]byte, 8*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))
-	}
-	return raw
-}
-
-// decodeDenseChunk validates the blob length against the expected shape (a
-// truncated or foreign blob surfaces as an error, never garbage values) and
-// decodes it.
-func decodeDenseChunk(key string, raw []byte, rows, cols int) (*la.Dense, error) {
-	if len(raw) != rows*cols*8 {
-		return nil, fmt.Errorf("chunk: %s has %d bytes, want %d", key, len(raw), rows*cols*8)
-	}
-	data := make([]float64, rows*cols)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	return la.NewDenseData(rows, cols, data), nil
+	return m, nil
 }
 
 func (m *Matrix) chunkBounds(i int) (lo, hi int) {
@@ -810,9 +861,14 @@ func (m *Matrix) chunkBounds(i int) (lo, hi int) {
 	return lo, hi
 }
 
-func (m *Matrix) readAt(ci int) (*la.Dense, error) {
+// rowsAt reports chunk ci's row count.
+func (m *Matrix) rowsAt(ci int) int {
 	lo, hi := m.chunkBounds(ci)
-	return m.store.readDenseChunk(m.paths[ci], hi-lo, m.cols)
+	return hi - lo
+}
+
+func (m *Matrix) readAt(ci int) (la.Mat, error) {
+	return m.store.readChunk(m.paths[ci], m.kind, m.rowsAt(ci), m.cols)
 }
 
 // Chunk decodes chunk ci and returns it with its first-row offset. It is
@@ -820,7 +876,7 @@ func (m *Matrix) readAt(ci int) (*la.Dense, error) {
 // pipeline over one matrix fetch the aligned chunk of another — the
 // two-operand pattern the streamed GNMF W-passes use, mirroring
 // IntVector.Keys for key columns.
-func (m *Matrix) Chunk(ci int) (lo int, c *la.Dense, err error) {
+func (m *Matrix) Chunk(ci int) (lo int, c la.Mat, err error) {
 	if m.freed {
 		return 0, nil, ErrFreed
 	}
@@ -829,15 +885,19 @@ func (m *Matrix) Chunk(ci int) (lo int, c *la.Dense, err error) {
 	return lo, c, err
 }
 
-// pipeline runs the chunk pipeline over this matrix; on a multi-shard
-// store the reads are interleaved across shards (Store.readOrder).
-func (m *Matrix) pipeline(ex Exec, mapFn func(ci, lo int, c *la.Dense) (any, error), commit func(ci int, v any) error) error {
+// Stream runs the chunk pipeline under ex: mapFn on ex.Workers goroutines
+// with each decoded chunk and its first-row offset, commit (when non-nil)
+// on the calling goroutine strictly in ascending chunk order. Reductions
+// accumulated in commit are therefore bit-identical to a serial pass,
+// independent of worker scheduling. On a multi-shard store the reads are
+// interleaved across shards (Store.readOrder).
+func (m *Matrix) Stream(ex Exec, mapFn func(ci, lo int, c la.Mat) (any, error), commit func(ci int, v any) error) error {
 	if m.freed {
 		return ErrFreed
 	}
 	return runPipelineOrder(len(m.paths), ex, m.store.readOrder(m.paths, ex),
 		m.readAt,
-		func(ci int, c *la.Dense) (any, error) {
+		func(ci int, c la.Mat) (any, error) {
 			lo, _ := m.chunkBounds(ci)
 			return mapFn(ci, lo, c)
 		},
@@ -847,37 +907,35 @@ func (m *Matrix) pipeline(ex Exec, mapFn func(ci, lo int, c *la.Dense) (any, err
 // ForEach streams every chunk through fn in row order (the ore.rowapply
 // analogue). The next chunk is prefetched from disk while fn runs on the
 // current one, but fn itself is never called concurrently.
-func (m *Matrix) ForEach(fn func(lo int, chunk *la.Dense) error) error {
+func (m *Matrix) ForEach(fn func(lo int, c la.Mat) error) error {
 	return m.ForEachExec(Exec{Workers: 1, Prefetch: 2}, fn)
 }
 
 // ForEachExec streams every chunk through fn under the given execution.
 // With ex.Workers > 1, fn is called concurrently from multiple goroutines
 // and chunk order is unspecified; fn must be safe for concurrent use.
-// Use MapChunks when per-chunk results must be combined in chunk order.
-func (m *Matrix) ForEachExec(ex Exec, fn func(lo int, chunk *la.Dense) error) error {
-	return m.pipeline(ex, func(ci, lo int, c *la.Dense) (any, error) {
+// Use Stream when per-chunk results must be combined in chunk order.
+func (m *Matrix) ForEachExec(ex Exec, fn func(lo int, c la.Mat) error) error {
+	return m.Stream(ex, func(ci, lo int, c la.Mat) (any, error) {
 		return nil, fn(lo, c)
 	}, nil)
 }
 
-// MapChunks streams every chunk through mapFn on ex.Workers goroutines and
-// hands the results to commit strictly in chunk order on the calling
-// goroutine. Reductions accumulated in commit are therefore bit-identical
-// to a serial pass, independent of worker scheduling. mapFn receives the
-// chunk index and the first-row offset.
-func (m *Matrix) MapChunks(ex Exec, mapFn func(ci, lo int, c *la.Dense) (any, error), commit func(ci int, v any) error) error {
-	return m.pipeline(ex, mapFn, commit)
+// StreamToMatrix maps every chunk to a dense output chunk (same row count,
+// outCols columns) and spills the results as a new dense chunked matrix
+// aligned with the input's chunking. Under a pipelined execution the
+// spills go through the dedicated write-behind stage, so output I/O
+// overlaps compute; output chunk files are byte-identical to a serial
+// pass. On failure every output chunk written so far is removed and no
+// matrix is registered.
+func (m *Matrix) StreamToMatrix(ex Exec, outCols int, f func(ci, lo int, c la.Mat) (*la.Dense, error)) (*Matrix, error) {
+	return m.mapToMatrix(ex, chunkKindDense, outCols, func(ci, lo int, c la.Mat) (la.Mat, error) {
+		return f(ci, lo, c)
+	})
 }
 
-// MapChunksToMatrix streams every chunk through f and spills the per-chunk
-// results (which must all have outCols columns and preserve the row count)
-// as a new chunked matrix. Under a pipelined execution the spills go
-// through the dedicated write-behind stage, so output I/O overlaps compute;
-// output chunk files keep the input's chunk order and are byte-identical to
-// a serial pass. On failure every output chunk written so far is removed
-// and no matrix is registered.
-func (m *Matrix) MapChunksToMatrix(ex Exec, outCols int, f func(ci, lo int, c *la.Dense) (*la.Dense, error)) (*Matrix, error) {
+// mapToMatrix is StreamToMatrix for output chunks of the given kind.
+func (m *Matrix) mapToMatrix(ex Exec, kind string, outCols int, f func(ci, lo int, c la.Mat) (la.Mat, error)) (*Matrix, error) {
 	if m.freed {
 		return nil, ErrFreed
 	}
@@ -885,13 +943,17 @@ func (m *Matrix) MapChunksToMatrix(ex Exec, outCols int, f func(ci, lo int, c *l
 	if err != nil {
 		return nil, err
 	}
-	err = m.pipeline(ex, func(ci, lo int, c *la.Dense) (any, error) {
+	var nnz atomic.Int64
+	err = m.Stream(ex, func(ci, lo int, c la.Mat) (any, error) {
 		out, err := f(ci, lo, c)
 		if err != nil {
 			return nil, err
 		}
-		if out.Rows() != c.Rows() || out.Cols() != outCols {
-			return nil, fmt.Errorf("chunk: mapped chunk is %dx%d, want %dx%d", out.Rows(), out.Cols(), c.Rows(), outCols)
+		if out.Rows() != c.Rows() || out.Cols() != outCols || kindOf(out) != kind {
+			return nil, fmt.Errorf("chunk: mapped chunk is %dx%d %s, want %dx%d %s", out.Rows(), out.Cols(), kindOf(out), c.Rows(), outCols, kind)
+		}
+		if kind == chunkKindCSR {
+			nnz.Add(int64(out.NNZ()))
 		}
 		return nil, sp.emit(ci, out)
 	}, nil)
@@ -899,53 +961,14 @@ func (m *Matrix) MapChunksToMatrix(ex Exec, outCols int, f func(ci, lo int, c *l
 	if err != nil {
 		return nil, err
 	}
-	return &Matrix{store: m.store, rows: m.rows, cols: outCols, chunkRows: m.chunkRows, paths: paths}, nil
-}
-
-// Stream implements Mat: the chunk pipeline with each decoded chunk
-// delivered as an la.Mat.
-func (m *Matrix) Stream(ex Exec, mapFn func(ci, lo int, c la.Mat) (any, error), commit func(ci int, v any) error) error {
-	return m.pipeline(ex, func(ci, lo int, c *la.Dense) (any, error) {
-		return mapFn(ci, lo, c)
-	}, commit)
-}
-
-// StreamOp implements Mat: it runs a registered op over every chunk and
-// commits the partials in chunk order. With ex.Pushdown, chunks held by
-// exec-capable remote shards are mapped in place by the shard's worker
-// and only the partials travel back; results are bit-identical with the
-// all-local run either way.
-func (m *Matrix) StreamOp(ex Exec, op Op, commit func(ci int, v any) error) error {
-	if m.freed {
-		return ErrFreed
-	}
-	src := opSource{
-		store: m.store,
-		keys:  m.paths,
-		kind:  chunkKindDense,
-		cols:  m.cols,
-		rowsAt: func(ci int) int {
-			lo, hi := m.chunkBounds(ci)
-			return hi - lo
-		},
-		read: func(ci int) (la.Mat, error) { return m.readAt(ci) },
-	}
-	return src.runOp(ex, op, commit)
-}
-
-// StreamToMatrix implements Mat: MapChunksToMatrix with the chunk exposed
-// as an la.Mat.
-func (m *Matrix) StreamToMatrix(ex Exec, outCols int, f func(ci, lo int, c la.Mat) (*la.Dense, error)) (*Matrix, error) {
-	return m.MapChunksToMatrix(ex, outCols, func(ci, lo int, c *la.Dense) (*la.Dense, error) {
-		return f(ci, lo, c)
-	})
+	return &Matrix{store: m.store, kind: kind, rows: m.rows, cols: outCols, chunkRows: m.chunkRows, nnz: nnz.Load(), paths: paths}, nil
 }
 
 // Dense loads the whole matrix into memory (tests and small data only).
 func (m *Matrix) Dense() (*la.Dense, error) {
 	out := la.NewDense(m.rows, m.cols)
-	err := m.ForEach(func(lo int, c *la.Dense) error {
-		copy(out.Data()[lo*m.cols:], c.Data())
+	err := m.ForEach(func(lo int, c la.Mat) error {
+		copy(out.Data()[lo*m.cols:], c.Dense().Data())
 		return nil
 	})
 	if err != nil {
@@ -954,8 +977,27 @@ func (m *Matrix) Dense() (*la.Dense, error) {
 	return out, nil
 }
 
-// Mul computes m·x, producing a new chunked matrix with one parallel
-// streaming pass.
+// CSR loads the whole matrix into memory as CSR (tests and small data
+// only).
+func (m *Matrix) CSR() (*la.CSR, error) {
+	parts := make([]*la.CSR, len(m.paths))
+	err := m.Stream(Parallel(), func(ci, lo int, c la.Mat) (any, error) {
+		if t, ok := c.(*la.CSR); ok {
+			return t, nil
+		}
+		return la.CSRFromDense(c.Dense()), nil
+	}, func(ci int, v any) error {
+		parts[ci] = v.(*la.CSR)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return la.VCatCSR(parts...), nil
+}
+
+// Mul computes m·x, producing a new chunked dense matrix with one
+// parallel streaming pass.
 func (m *Matrix) Mul(x *la.Dense) (*Matrix, error) { return m.MulExec(Parallel(), x) }
 
 // MulExec computes m·x under the given execution.
@@ -963,8 +1005,8 @@ func (m *Matrix) MulExec(ex Exec, x *la.Dense) (*Matrix, error) {
 	if x.Rows() != m.cols {
 		return nil, fmt.Errorf("chunk: Mul %dx%d · %dx%d", m.rows, m.cols, x.Rows(), x.Cols())
 	}
-	return m.MapChunksToMatrix(ex, x.Cols(), func(ci, lo int, c *la.Dense) (*la.Dense, error) {
-		return la.MatMul(c, x), nil
+	return m.StreamToMatrix(ex, x.Cols(), func(ci, lo int, c la.Mat) (*la.Dense, error) {
+		return c.Mul(x), nil
 	})
 }
 
@@ -978,8 +1020,8 @@ func (m *Matrix) TMulExec(ex Exec, x *la.Dense) (*la.Dense, error) {
 		return nil, fmt.Errorf("chunk: TMul %dx%dᵀ · %dx%d", m.rows, m.cols, x.Rows(), x.Cols())
 	}
 	acc := la.NewDense(m.cols, x.Cols())
-	err := m.pipeline(ex, func(ci, lo int, c *la.Dense) (any, error) {
-		return la.TMatMul(c, x.SliceRowsDense(lo, lo+c.Rows())), nil
+	err := m.Stream(ex, func(ci, lo int, c la.Mat) (any, error) {
+		return c.TMul(x.SliceRowsDense(lo, lo+c.Rows())), nil
 	}, func(ci int, v any) error {
 		acc.AddInPlace(v.(*la.Dense))
 		return nil
@@ -1008,13 +1050,14 @@ func (m *Matrix) CrossProdExec(ex Exec) (*la.Dense, error) {
 	return acc, nil
 }
 
-// Scale computes m·x element-wise into a new chunked matrix.
+// Scale computes m·x element-wise into a new chunked matrix of the same
+// format.
 func (m *Matrix) Scale(x float64) (*Matrix, error) { return m.ScaleExec(Parallel(), x) }
 
 // ScaleExec computes m·x element-wise under the given execution.
 func (m *Matrix) ScaleExec(ex Exec, x float64) (*Matrix, error) {
-	return m.MapChunksToMatrix(ex, m.cols, func(ci, lo int, c *la.Dense) (*la.Dense, error) {
-		return c.ScaleDense(x), nil
+	return m.mapToMatrix(ex, m.kind, m.cols, func(ci, lo int, c la.Mat) (la.Mat, error) {
+		return c.ScaleM(x), nil
 	})
 }
 
@@ -1040,7 +1083,7 @@ func (m *Matrix) RowSums() (*Matrix, error) { return m.RowSumsExec(Parallel()) }
 
 // RowSumsExec computes row sums under the given execution.
 func (m *Matrix) RowSumsExec(ex Exec) (*Matrix, error) {
-	return m.MapChunksToMatrix(ex, 1, func(ci, lo int, c *la.Dense) (*la.Dense, error) {
+	return m.StreamToMatrix(ex, 1, func(ci, lo int, c la.Mat) (*la.Dense, error) {
 		return c.RowSums(), nil
 	})
 }
@@ -1057,24 +1100,4 @@ func (m *Matrix) SumExec(ex Exec) (float64, error) {
 		return nil
 	})
 	return total, err
-}
-
-// BytesOnDisk reports the matrix's storage footprint as the store tracks
-// it: the bytes actually written for its chunks — the compressed size when
-// a codec wrapper is in the shard's chain — not a shape-derived estimate.
-// Zero once the matrix has been freed (its files are gone).
-func (m *Matrix) BytesOnDisk() int64 { return m.store.trackedBytes(m.paths) }
-
-// trackedBytes sums the recorded written sizes of the given chunk keys;
-// untracked (freed) or not-yet-written keys contribute nothing.
-func (s *Store) trackedBytes(paths []string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var b int64
-	for _, p := range paths {
-		if info, ok := s.refs[p]; ok && info.written {
-			b += info.bytes
-		}
-	}
-	return b
 }

@@ -286,10 +286,7 @@ func (s *ChunkServer) serveExec(w http.ResponseWriter, r *http.Request) {
 				return nil, fmt.Errorf("decoding %s with codec %s: %w", c.Key, dec.Name(), err)
 			}
 		}
-		if req.Kind == chunkKindCSR {
-			return decodeSparseChunk(c.Key, raw, c.Rows, req.Cols)
-		}
-		return decodeDenseChunk(c.Key, raw, c.Rows, req.Cols)
+		return decodeChunk(req.Kind, c.Key, raw, c.Rows, req.Cols)
 	}
 	err = runPipeline(len(req.Chunks), Parallel(), read,
 		func(ci int, c la.Mat) (any, error) {

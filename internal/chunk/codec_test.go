@@ -446,7 +446,7 @@ func TestExecDecodesCodecShardSide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.decodePartial(raw)
+	got, err := st.decodePartial(raw, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

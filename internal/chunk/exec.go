@@ -8,13 +8,6 @@ import (
 	"io"
 )
 
-// Chunk kinds on the /exec wire: how the worker should decode the raw
-// chunk bytes it holds.
-const (
-	chunkKindDense = "dense"
-	chunkKindCSR   = "csr"
-)
-
 // ExecChunk names one locally held chunk in an /exec request. Rows is the
 // chunk's row count, needed to decode the stored bytes.
 type ExecChunk struct {

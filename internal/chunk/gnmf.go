@@ -43,7 +43,7 @@ type gnmfPart struct {
 // agree to floating-point reassociation error. Intermediate W generations
 // are freed as soon as the next one is spilled. The planner-driven entry
 // point is plan.GNMF.
-func GNMFExec(ex Exec, t Mat, rank, iters int, seed int64) (*GNMFResult, error) {
+func GNMFExec(ex Exec, t *Matrix, rank, iters int, seed int64) (*GNMFResult, error) {
 	n, d := t.Rows(), t.Cols()
 	if rank <= 0 {
 		return nil, fmt.Errorf("chunk: rank must be positive, got %d", rank)
@@ -72,10 +72,11 @@ func GNMFExec(ex Exec, t Mat, rank, iters int, seed int64) (*GNMFResult, error) 
 		tw := la.NewDense(d, rank)
 		wtw := la.NewDense(rank, rank)
 		err := t.Stream(ex, func(ci, lo int, c la.Mat) (any, error) {
-			_, wc, err := w.Chunk(ci)
+			_, wm, err := w.Chunk(ci)
 			if err != nil {
 				return nil, err
 			}
+			wc := wm.Dense()
 			return gnmfPart{
 				tw:    c.TMul(wc),
 				wtw:   wc.CrossProd(),
@@ -99,10 +100,11 @@ func GNMFExec(ex Exec, t Mat, rank, iters int, seed int64) (*GNMFResult, error) 
 		hth := h.CrossProd()
 		var passBytes atomic.Int64
 		next, err := t.StreamToMatrix(ex, rank, func(ci, lo int, c la.Mat) (*la.Dense, error) {
-			_, wc, err := w.Chunk(ci)
+			_, wm, err := w.Chunk(ci)
 			if err != nil {
 				return nil, err
 			}
+			wc := wm.Dense()
 			passBytes.Add(EncodedBytes(c) + EncodedBytes(wc))
 			return multiplicative(wc, c.Mul(h), la.MatMul(wc, hth), eps), nil
 		})
@@ -128,14 +130,15 @@ func GNMFExec(ex Exec, t Mat, rank, iters int, seed int64) (*GNMFResult, error) 
 // so the cross term touches only stored entries (CSR chunks pay
 // O(nnz·rank), never rows×cols) and the reconstruction never
 // materializes.
-func (r *GNMFResult) ReconstructionError(ex Exec, t Mat) (float64, error) {
+func (r *GNMFResult) ReconstructionError(ex Exec, t *Matrix) (float64, error) {
 	hth := r.H.CrossProd() // rank×rank
 	total := 0.0
 	err := t.Stream(ex, func(ci, lo int, c la.Mat) (any, error) {
-		_, wc, err := r.W.Chunk(ci)
+		_, wm, err := r.W.Chunk(ci)
 		if err != nil {
 			return nil, err
 		}
+		wc := wm.Dense()
 		s := 0.0
 		for _, v := range rowSquaredNorms(c) {
 			s += v

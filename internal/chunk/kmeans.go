@@ -30,28 +30,34 @@ type kmPart struct {
 	bytes  int64
 }
 
-// kmeansAssignPartial computes one chunk's assignment partial for fixed
-// centroids: expand the pairwise squared distances ‖t_i‖² + ‖c_j‖² −
-// 2·t_i·c_j from the chunk's T·C product, take the per-row argmin (ties
-// toward the lowest cluster index, like ml.KMeans), and return the chunk's
-// centroid numerators chunkᵀ·A and cluster counts. It is the body of
-// OpKMeansAssign, shared by the driver's workers and the chunkd worker so
-// pushed-down iterations reduce bit-identically.
-func kmeansAssignPartial(ch la.Mat, c *la.Dense, cNorm []float64) kmPart {
-	rows, k := ch.Rows(), c.Cols()
+// nearestCentroids expands the pairwise squared distances ‖t_i‖² +
+// ‖c_j‖² − 2·t_i·c_j of one chunk's rows to the centroids from the
+// chunk's T·C product and calls fn with every row's argmin (ties toward
+// the lowest cluster index, like ml.KMeans) and its distance. It is the
+// one assignment step of the iterations and the final gather.
+func nearestCentroids(ch la.Mat, c *la.Dense, cNorm []float64, fn func(i, best int, dist float64)) {
 	tc := ch.Mul(c) // rows×k (LMM)
 	dt := rowSquaredNorms(ch)
-	a := la.NewDense(rows, k)
-	for i := 0; i < rows; i++ {
+	for i := range dt {
 		row := tc.Row(i)
 		best, bestD := 0, dt[i]+cNorm[0]-2*row[0]
-		for j := 1; j < k; j++ {
+		for j := 1; j < len(cNorm); j++ {
 			if dd := dt[i] + cNorm[j] - 2*row[j]; dd < bestD {
 				best, bestD = j, dd
 			}
 		}
-		a.Set(i, best, 1)
+		fn(i, best, bestD)
 	}
+}
+
+// kmeansAssignPartial computes one chunk's assignment partial for fixed
+// centroids: the chunk's centroid numerators chunkᵀ·A and cluster counts,
+// A the one-hot argmin matrix. It is the body of OpKMeansAssign, shared
+// by the driver's workers and the chunkd worker so pushed-down iterations
+// reduce bit-identically.
+func kmeansAssignPartial(ch la.Mat, c *la.Dense, cNorm []float64) kmPart {
+	a := la.NewDense(ch.Rows(), c.Cols())
+	nearestCentroids(ch, c, cNorm, func(i, best int, _ float64) { a.Set(i, best, 1) })
 	return kmPart{sums: ch.TMul(a), counts: a.ColSumsVec(), bytes: EncodedBytes(ch)}
 }
 
@@ -66,7 +72,7 @@ func kmeansAssignPartial(ch la.Mat, c *la.Dense, cNorm []float64) kmPart {
 // assignment column through the write-behind spiller and accumulates the
 // objective, again in chunk order. The planner-driven entry point is
 // plan.KMeans.
-func KMeansExec(ex Exec, t Mat, k, iters int, seed int64) (*KMeansResult, error) {
+func KMeansExec(ex Exec, t *Matrix, k, iters int, seed int64) (*KMeansResult, error) {
 	n, d := t.Rows(), t.Cols()
 	if k <= 0 {
 		return nil, fmt.Errorf("chunk: k must be positive, got %d", k)
@@ -125,22 +131,12 @@ func KMeansExec(ex Exec, t Mat, k, iters int, seed int64) (*KMeansResult, error)
 	}
 	objective := 0.0
 	err = t.Stream(ex, func(ci, lo int, ch la.Mat) (any, error) {
-		rows := ch.Rows()
-		tc := ch.Mul(c)
-		dt := rowSquaredNorms(ch)
-		out := la.NewDense(rows, 1)
+		out := la.NewDense(ch.Rows(), 1)
 		obj := 0.0
-		for i := 0; i < rows; i++ {
-			row := tc.Row(i)
-			best, bestD := 0, dt[i]+cNorm[0]-2*row[0]
-			for j := 1; j < k; j++ {
-				if dd := dt[i] + cNorm[j] - 2*row[j]; dd < bestD {
-					best, bestD = j, dd
-				}
-			}
+		nearestCentroids(ch, c, cNorm, func(i, best int, dist float64) {
 			out.Set(i, 0, float64(best))
-			obj += bestD
-		}
+			obj += dist
+		})
 		if err := sp.emit(ci, out); err != nil {
 			return nil, err
 		}
@@ -155,6 +151,41 @@ func KMeansExec(ex Exec, t Mat, k, iters int, seed int64) (*KMeansResult, error)
 	if err != nil {
 		return nil, err
 	}
-	assign := &Matrix{store: t.Store(), rows: n, cols: 1, chunkRows: t.ChunkRows(), paths: paths}
+	assign := denseMatrix(t.Store(), n, 1, t.ChunkRows(), paths)
 	return &KMeansResult{Centroids: c, Assign: assign, Objective: objective, BytesRead: bytesRead}, nil
+}
+
+// rowSquaredNorms returns the per-row sums of squares of one chunk (the
+// point norms of the k-means distance expansion), with a sparse fast path.
+func rowSquaredNorms(c la.Mat) []float64 {
+	out := make([]float64, c.Rows())
+	switch t := c.(type) {
+	case *la.Dense:
+		for i := range out {
+			s := 0.0
+			for _, v := range t.Row(i) {
+				s += v * v
+			}
+			out[i] = s
+		}
+	case *la.CSR:
+		for i := range out {
+			_, vals := t.RowNNZ(i)
+			s := 0.0
+			for _, v := range vals {
+				s += v * v
+			}
+			out[i] = s
+		}
+	default:
+		for i := range out {
+			s := 0.0
+			for j := 0; j < c.Cols(); j++ {
+				v := c.At(i, j)
+				s += v * v
+			}
+			out[i] = s
+		}
+	}
+	return out
 }

@@ -14,50 +14,15 @@ type LogRegResult struct {
 	BytesRead int64
 }
 
-// matPart is one chunk's contribution to a materialized-GLM iteration.
-type matPart struct {
-	grad  *la.Dense
-	bytes int64
-}
-
 // LogRegMaterializedExec runs the standard logistic regression
-// (Algorithm 3) over any chunked materialized table — dense or CSR —
-// under the given execution, streaming every stored cell from disk each
+// (Algorithm 3) over any chunked materialized table — dense or CSR chunks
+// — under the given execution, streaming every stored cell from disk each
 // iteration: the ORE baseline of Table 9, and the sparse one-hot shapes
-// of Table 6 when t is a *SparseMatrix. Per-chunk gradients are computed
-// on the workers and accumulated in chunk order, so results are identical
-// for every Exec. The planner-driven entry point is plan.LogReg.
-func LogRegMaterializedExec(ex Exec, t Mat, y *la.Dense, iters int, alpha float64) (*LogRegResult, error) {
-	if y.Rows() != t.Rows() || y.Cols() != 1 {
-		return nil, fmt.Errorf("chunk: labels are %dx%d, want %dx1", y.Rows(), y.Cols(), t.Rows())
-	}
-	if iters <= 0 {
-		return nil, fmt.Errorf("chunk: iters must be positive")
-	}
-	d := t.Cols()
-	w := la.NewDense(d, 1)
-	var bytesRead int64
-	for it := 0; it < iters; it++ {
-		grad := la.NewDense(d, 1)
-		err := t.Stream(ex, func(ci, lo int, c la.Mat) (any, error) {
-			tw := c.Mul(w)
-			p := la.NewDense(c.Rows(), 1)
-			for i := 0; i < c.Rows(); i++ {
-				p.Set(i, 0, y.At(lo+i, 0)/(1+math.Exp(tw.At(i, 0))))
-			}
-			return matPart{grad: c.TMul(p), bytes: EncodedBytes(c)}, nil
-		}, func(ci int, v any) error {
-			pt := v.(matPart)
-			grad.AddInPlace(pt.grad)
-			bytesRead += pt.bytes
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		w.AXPYInPlace(alpha, grad)
-	}
-	return &LogRegResult{W: w, BytesRead: bytesRead}, nil
+// of Table 6 when t holds CSR chunks. It is the star driver over a table
+// with no attribute tables, whose arithmetic is then exactly Algorithm 3.
+// The planner-driven entry point is plan.LogReg.
+func LogRegMaterializedExec(ex Exec, t *Matrix, y *la.Dense, iters int, alpha float64) (*LogRegResult, error) {
+	return LogRegFactorizedExec(ex, &NormalizedTable{S: t}, y, iters, alpha)
 }
 
 // starPart is one chunk's contribution to a factorized-GLM iteration: the

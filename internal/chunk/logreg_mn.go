@@ -56,10 +56,9 @@ func (t *MNTable) Free() error {
 // pre-allocated dst vector (disjoint row ranges, so workers write
 // directly); bytes read are tallied on the committer.
 func partialProducts(ex Exec, b *Matrix, w *la.Dense, dst []float64, bytesRead *int64) error {
-	return b.pipeline(ex, func(ci, lo int, c *la.Dense) (any, error) {
-		p := la.MatMul(c, w)
-		copy(dst[lo:lo+c.Rows()], p.Data())
-		return int64(c.Rows()) * int64(c.Cols()) * 8, nil
+	return b.Stream(ex, func(ci, lo int, c la.Mat) (any, error) {
+		copy(dst[lo:lo+c.Rows()], c.Mul(w).Data())
+		return EncodedBytes(c), nil
 	}, func(ci int, v any) error {
 		*bytesRead += v.(int64)
 		return nil
@@ -69,13 +68,14 @@ func partialProducts(ex Exec, b *Matrix, w *la.Dense, dst []float64, bytesRead *
 // gradPass streams base table b and accumulates bᵀ·coef chunk-by-chunk in
 // order.
 func gradPass(ex Exec, b *Matrix, coef []float64, grad *la.Dense, bytesRead *int64) error {
-	return b.pipeline(ex, func(ci, lo int, c *la.Dense) (any, error) {
-		return matPart{
-			grad:  la.TMatMul(c, la.ColVector(coef[lo:lo+c.Rows()])),
-			bytes: int64(c.Rows()) * int64(c.Cols()) * 8,
-		}, nil
+	type part struct {
+		grad  *la.Dense
+		bytes int64
+	}
+	return b.Stream(ex, func(ci, lo int, c la.Mat) (any, error) {
+		return part{grad: c.TMul(la.ColVector(coef[lo : lo+c.Rows()])), bytes: EncodedBytes(c)}, nil
 	}, func(ci int, v any) error {
-		pt := v.(matPart)
+		pt := v.(part)
 		grad.AddInPlace(pt.grad)
 		*bytesRead += pt.bytes
 		return nil
@@ -125,24 +125,22 @@ func LogRegFactorizedMNExec(ex Exec, t *MNTable, y *la.Dense, iters int, alpha f
 		// Pass 2: stream the selectors, scatter coefficients per base row.
 		cs := make([]float64, t.S.rows)
 		cr := make([]float64, t.R.rows)
-		err := t.IS.m.pipeline(ex, func(ci, lo int, isChunk *la.Dense) (any, error) {
+		err := t.IS.m.Stream(ex, func(ci, lo int, isChunk la.Mat) (any, error) {
+			isKeys := keysOf(isChunk)
 			_, irKeys, err := t.IR.Keys(ci)
 			if err != nil {
 				return nil, err
 			}
-			isKeys := make([]int32, isChunk.Rows())
-			coef := make([]float64, isChunk.Rows())
-			for i := 0; i < isChunk.Rows(); i++ {
-				si := int32(isChunk.At(i, 0))
+			coef := make([]float64, len(isKeys))
+			for i, si := range isKeys {
 				inner := sw[si] + rw[irKeys[i]]
-				isKeys[i] = si
 				coef[i] = y.At(lo+i, 0) / (1 + math.Exp(inner))
 			}
 			return mnSelPart{
 				is:    isKeys,
 				ir:    irKeys,
 				coef:  coef,
-				bytes: 2 * int64(isChunk.Rows()) * 8,
+				bytes: 2 * int64(len(isKeys)) * 8,
 			}, nil
 		}, func(ci int, v any) error {
 			pt := v.(mnSelPart)
@@ -194,14 +192,14 @@ func MaterializeMN(store *Store, t *MNTable) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = t.IS.m.pipeline(Parallel(), func(ci, lo int, isChunk *la.Dense) (any, error) {
+	err = t.IS.m.Stream(Parallel(), func(ci, lo int, isChunk la.Mat) (any, error) {
 		_, irKeys, err := t.IR.Keys(ci)
 		if err != nil {
 			return nil, err
 		}
 		buf := la.NewDense(isChunk.Rows(), dS+dR)
-		for i := 0; i < isChunk.Rows(); i++ {
-			copy(buf.Row(i)[:dS], sD.Row(int(isChunk.At(i, 0))))
+		for i, si := range keysOf(isChunk) {
+			copy(buf.Row(i)[:dS], sD.Row(int(si)))
 			copy(buf.Row(i)[dS:], rD.Row(int(irKeys[i])))
 		}
 		return nil, store.writeChunkFile(paths[ci], buf)
@@ -210,5 +208,5 @@ func MaterializeMN(store *Store, t *MNTable) (*Matrix, error) {
 		store.release(paths)
 		return nil, err
 	}
-	return &Matrix{store: store, rows: t.OutputRows(), cols: dS + dR, chunkRows: t.IS.m.chunkRows, paths: paths}, nil
+	return denseMatrix(store, t.OutputRows(), dS+dR, t.IS.m.chunkRows, paths), nil
 }

@@ -10,7 +10,7 @@ import (
 
 // TestSparseChunkedGLMMatchesInMemoryCSR pins the materialized chunked GLM
 // over CSR chunks (the Table 6 one-hot shapes, now trainable out-of-core
-// through chunk.Mat) to the in-memory CSR run, bit-determinism across
+// through one chunked Matrix type) to the in-memory CSR run, bit-determinism across
 // executions included.
 func TestSparseChunkedGLMMatchesInMemoryCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -77,7 +77,7 @@ func TestMatInterfaceOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, tc := range map[string]struct {
-		m    Mat
+		m    *Matrix
 		mem  la.Mat
 		cols int
 	}{

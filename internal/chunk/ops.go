@@ -37,9 +37,12 @@ type opState interface {
 	apply(c la.Mat) (any, error)
 	// encodePartial and decodePartial serialize apply's result for the
 	// /exec wire. Floats travel as raw IEEE-754 bit patterns, so the
-	// round-trip is lossless.
+	// round-trip is lossless. decodePartial also rejects a well-formed
+	// partial whose shape does not match the op over cols-wide chunks, so
+	// a faulty worker's answer falls back instead of corrupting (or
+	// panicking) the reduction.
 	encodePartial(v any) ([]byte, error)
-	decodePartial(raw []byte) (any, error)
+	decodePartial(raw []byte, cols int) (any, error)
 }
 
 var opRegistry = map[string]func(params []byte) (opState, error){
@@ -48,8 +51,8 @@ var opRegistry = map[string]func(params []byte) (opState, error){
 			return nil, fmt.Errorf("chunk: op crossprod takes no params")
 		}
 		return denseReduceOp{
-			f:    func(c la.Mat) *la.Dense { return c.CrossProd() },
-			zero: func(rows, cols int) *la.Dense { return la.NewDense(cols, cols) },
+			f:     func(c la.Mat) *la.Dense { return c.CrossProd() },
+			shape: func(cols int) (int, int) { return cols, cols },
 		}, nil
 	},
 	"colsums": func(params []byte) (opState, error) {
@@ -57,8 +60,8 @@ var opRegistry = map[string]func(params []byte) (opState, error){
 			return nil, fmt.Errorf("chunk: op colsums takes no params")
 		}
 		return denseReduceOp{
-			f:    func(c la.Mat) *la.Dense { return c.ColSums() },
-			zero: func(rows, cols int) *la.Dense { return la.NewDense(1, cols) },
+			f:     func(c la.Mat) *la.Dense { return c.ColSums() },
+			shape: func(cols int) (int, int) { return 1, cols },
 		}, nil
 	},
 	"sum": func(params []byte) (opState, error) {
@@ -107,7 +110,7 @@ func prepareOp(op Op) (opState, error) {
 }
 
 // zeroPartialer is the skip-eligibility capability: ops whose partial for
-// an all-zero chunk depends only on the chunk's shape, so runOp can commit
+// an all-zero chunk depends only on the chunk's width, so StreamOp can commit
 // it without reading, decoding, or even synthesizing the chunk. The value
 // MUST be bit-identical to apply on the zero chunk — true for the additive
 // reductions, because an AllZero zone map admits only +0.0 bit patterns
@@ -116,20 +119,20 @@ func prepareOp(op Op) (opState, error) {
 // even for a zero chunk, so skipped chunks are synthesized by the read
 // path (Store.readChunkBlob) and assigned for real instead.
 type zeroPartialer interface {
-	zeroPartial(rows, cols int) any
+	zeroPartial(cols int) any
 }
 
 // denseReduceOp covers ops whose partial is a single dense matrix reduced
-// by element-wise addition (crossprod, colsums). zero builds the identity
-// partial for an all-zero rows×cols chunk.
+// by element-wise addition (crossprod, colsums). shape is the partial's
+// shape for cols-wide chunks, whatever their row count.
 type denseReduceOp struct {
-	f    func(c la.Mat) *la.Dense
-	zero func(rows, cols int) *la.Dense
+	f     func(c la.Mat) *la.Dense
+	shape func(cols int) (int, int)
 }
 
 func (o denseReduceOp) apply(c la.Mat) (any, error) { return o.f(c), nil }
 
-func (o denseReduceOp) zeroPartial(rows, cols int) any { return o.zero(rows, cols) }
+func (o denseReduceOp) zeroPartial(cols int) any { return la.NewDense(o.shape(cols)) }
 
 func (o denseReduceOp) encodePartial(v any) ([]byte, error) {
 	d, ok := v.(*la.Dense)
@@ -139,13 +142,16 @@ func (o denseReduceOp) encodePartial(v any) ([]byte, error) {
 	return appendDenseBlob(nil, d), nil
 }
 
-func (o denseReduceOp) decodePartial(raw []byte) (any, error) {
+func (o denseReduceOp) decodePartial(raw []byte, cols int) (any, error) {
 	d, rest, err := readDenseBlob(raw)
 	if err != nil {
 		return nil, err
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("chunk: dense partial: %d trailing bytes", len(rest))
+	}
+	if r, c := o.shape(cols); d.Rows() != r || d.Cols() != c {
+		return nil, fmt.Errorf("chunk: dense partial is %dx%d, want %dx%d", d.Rows(), d.Cols(), r, c)
 	}
 	return d, nil
 }
@@ -155,7 +161,7 @@ type sumOp struct{}
 
 func (sumOp) apply(c la.Mat) (any, error) { return c.Sum(), nil }
 
-func (sumOp) zeroPartial(rows, cols int) any { return 0.0 }
+func (sumOp) zeroPartial(cols int) any { return 0.0 }
 
 func (sumOp) encodePartial(v any) ([]byte, error) {
 	f, ok := v.(float64)
@@ -165,7 +171,7 @@ func (sumOp) encodePartial(v any) ([]byte, error) {
 	return binary.LittleEndian.AppendUint64(nil, math.Float64bits(f)), nil
 }
 
-func (sumOp) decodePartial(raw []byte) (any, error) {
+func (sumOp) decodePartial(raw []byte, cols int) (any, error) {
 	if len(raw) != 8 {
 		return nil, fmt.Errorf("chunk: sum partial is %d bytes, want 8", len(raw))
 	}
@@ -195,18 +201,22 @@ func (o kmeansAssignOp) encodePartial(v any) ([]byte, error) {
 	return binary.LittleEndian.AppendUint64(raw, uint64(pt.bytes)), nil
 }
 
-func (o kmeansAssignOp) decodePartial(raw []byte) (any, error) {
+func (o kmeansAssignOp) decodePartial(raw []byte, cols int) (any, error) {
 	sums, rest, err := readDenseBlob(raw)
 	if err != nil {
 		return nil, fmt.Errorf("chunk: kmeans-assign partial: %w", err)
+	}
+	d, want := o.cent.Rows(), o.cent.Cols()
+	if sums.Rows() != d || sums.Cols() != want {
+		return nil, fmt.Errorf("chunk: kmeans-assign partial sums are %dx%d, want %dx%d", sums.Rows(), sums.Cols(), d, want)
 	}
 	if len(rest) < 8 {
 		return nil, fmt.Errorf("chunk: kmeans-assign partial: truncated counts")
 	}
 	k := binary.LittleEndian.Uint64(rest)
 	rest = rest[8:]
-	if k > uint64(1)<<24 || uint64(len(rest)) != (k+1)*8 {
-		return nil, fmt.Errorf("chunk: kmeans-assign partial: bad counts length %d", k)
+	if k != uint64(want) || uint64(len(rest)) != (k+1)*8 {
+		return nil, fmt.Errorf("chunk: kmeans-assign partial: %d counts in %d bytes, want %d", k, len(rest), want)
 	}
 	counts := make([]float64, k)
 	for j := range counts {

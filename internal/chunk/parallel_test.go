@@ -231,7 +231,7 @@ func TestForEachExecConcurrent(t *testing.T) {
 	var rows atomic.Int64
 	var mu sync.Mutex
 	seen := map[int]bool{}
-	err = m.ForEachExec(parExec, func(lo int, c *la.Dense) error {
+	err = m.ForEachExec(parExec, func(lo int, c la.Mat) error {
 		rows.Add(int64(c.Rows()))
 		mu.Lock()
 		if seen[lo] {
@@ -274,7 +274,7 @@ func TestParallelErrorPropagation(t *testing.T) {
 	if _, err := m.MulExec(parExec, randDense(rng, 4, 2)); err == nil {
 		t.Fatal("parallel Mul succeeded on corrupt store")
 	}
-	if err := m.ForEachExec(parExec, func(lo int, c *la.Dense) error { return nil }); err == nil {
+	if err := m.ForEachExec(parExec, func(lo int, c la.Mat) error { return nil }); err == nil {
 		t.Fatal("parallel ForEach succeeded on corrupt store")
 	}
 }

@@ -64,7 +64,7 @@ func (ex Exec) normalized() Exec {
 // stage.
 type writeJob struct {
 	path string
-	d    *la.Dense
+	c    la.Mat
 }
 
 // spillWriter is the dedicated write-behind stage: compute workers enqueue
@@ -94,7 +94,7 @@ func newSpillWriter(store *Store, depth int) *spillWriter {
 			if w.firstErr() != nil {
 				continue
 			}
-			if err := store.writeChunkFile(j.path, j.d); err != nil {
+			if err := store.writeChunkFile(j.path, j.c); err != nil {
 				w.setErr(err)
 			}
 		}
@@ -116,11 +116,11 @@ func (w *spillWriter) setErr(err error) {
 	}
 }
 
-func (w *spillWriter) enqueue(path string, d *la.Dense) error {
+func (w *spillWriter) enqueue(path string, c la.Mat) error {
 	if err := w.firstErr(); err != nil {
 		return err
 	}
-	w.jobs <- writeJob{path: path, d: d}
+	w.jobs <- writeJob{path: path, c: c}
 	return nil
 }
 
@@ -186,7 +186,7 @@ func newOutputSpiller(store *Store, n int, ex Exec) (*outputSpiller, error) {
 // an error (writeChunkFile resolves the backend through the store's
 // tracking; the shard index is re-checked here for the async queues)
 // rather than an index panic.
-func (sp *outputSpiller) emit(ci int, out *la.Dense) error {
+func (sp *outputSpiller) emit(ci int, out la.Mat) error {
 	if sp.writers == nil {
 		return sp.store.writeChunkFile(sp.paths[ci], out)
 	}
@@ -460,4 +460,62 @@ func runPipelineOrder[T any](n int, ex Exec, order []int,
 		}
 	}
 	return firstErr
+}
+
+// AutoRows picks a chunk height from a memory budget: the pipeline keeps at
+// most workers+prefetch+1 decoded input chunks resident (admission tickets,
+// see runPipeline), so the chunk height that fills memBudgetBytes is
+//
+//	chunkRows = memBudgetBytes / ((workers+prefetch+1) · cols · 8)
+//
+// clamped to [1, 1<<20]. workers<=0 means GOMAXPROCS, matching Exec;
+// prefetch<0 means 0. Use it instead of hard-coding chunk heights: it keeps
+// the same pass under the same budget whether the table is wide or narrow
+// and whether one worker or thirty-two are running.
+//
+// The budget covers the decoded *input* chunks. Passes that spill a chunked
+// output (StreamToMatrix, Mul, Scale, ...) additionally hold up to
+// workers+spillQueueDepth+1 output chunks per shard (one per busy worker
+// plus the bounded write-behind queues), and each chunk being written
+// briefly holds one encoded []byte copy next to its decoded form (blobs
+// cross the Backend interface whole); when the output is as wide as the
+// input, size the budget for roughly twice the pass's input residency.
+//
+// A small budget degrades gracefully: the chunk height shrinks with the
+// budget but never under one row, so the pass stays within (or as close
+// as physically possible to) the budget instead of silently
+// overcommitting it. AutoRowsChecked additionally reports when even
+// one-row chunks exceed the budget.
+func AutoRows(memBudgetBytes int64, cols, workers, prefetch int) int {
+	rows, _ := AutoRowsChecked(memBudgetBytes, cols, workers, prefetch)
+	return rows
+}
+
+// AutoRowsChecked is AutoRows with an explicit infeasibility signal: the
+// returned chunk height is always usable (≥ 1 row), and the error is
+// non-nil when the budget cannot hold even one row of the operand per
+// resident chunk — the caller is about to stream wider than its memory
+// bound and should raise the budget or narrow the operand.
+func AutoRowsChecked(memBudgetBytes int64, cols, workers, prefetch int) (int, error) {
+	const maxRows = 1 << 20
+	if cols <= 0 {
+		cols = 1
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if prefetch < 0 {
+		prefetch = 0
+	}
+	resident := int64(workers+prefetch+1) * int64(cols) * 8
+	rows := memBudgetBytes / resident
+	switch {
+	case rows < 1:
+		return 1, fmt.Errorf("chunk: memory budget %d B cannot hold one %d-column row in each of the %d resident chunks (needs %d B); clamping to 1-row chunks",
+			memBudgetBytes, cols, workers+prefetch+1, resident)
+	case rows > maxRows:
+		return maxRows, nil
+	default:
+		return int(rows), nil
+	}
 }

@@ -12,18 +12,6 @@ import (
 // cancellation; it never surfaces to callers.
 var errCanceled = errors.New("chunk: pushdown pass canceled")
 
-// opSource is one chunked operand viewed as op input: its store, chunk
-// keys, wire kind, and the passive read path the pushdown runner falls
-// back to.
-type opSource struct {
-	store  *Store
-	keys   []string
-	kind   string
-	cols   int
-	rowsAt func(ci int) int
-	read   func(ci int) (la.Mat, error)
-}
-
 // pushRes is one chunk's op result traveling from a producer (local
 // pipeline or remote group relay) to the merging committer.
 type pushRes struct {
@@ -32,26 +20,29 @@ type pushRes struct {
 	err error
 }
 
-// runOp streams every chunk through the op and commits the partials in
-// ascending chunk order. Without ex.Pushdown (or without any exec-capable
-// shard) this is exactly the local chunk pipeline. With it, chunks held by
-// exec-capable shards are mapped in place by the shard's worker — one
-// /exec stream per shard, partials relayed in that shard's ascending chunk
-// order — while local chunks run through the usual worker pipeline; the
-// committer merges the per-source streams in ascending global chunk order,
-// so the reduction visits partials in the same order as the all-local run
-// and the result is bit-identical. Any exec failure (no endpoint, unknown
-// op, cut stream, corrupt partial) degrades that shard's remaining chunks
+// StreamOp is Stream for registered ops: it runs op over every chunk and
+// commits the partials in ascending chunk order. Without ex.Pushdown (or
+// without any exec-capable shard) this is exactly the local chunk
+// pipeline. With it, chunks held by exec-capable shards are mapped in
+// place by the shard's worker — one /exec stream per shard, partials
+// relayed in that shard's ascending chunk order — while local chunks run
+// through the usual worker pipeline; the committer merges the per-source
+// streams in ascending global chunk order, so the reduction visits
+// partials in the same order as the all-local run and the result is
+// bit-identical. Any exec failure (no endpoint, unknown op, cut stream,
+// corrupt or wrong-shape partial) degrades that shard's remaining chunks
 // to the passive ReadChunk + local-map path; a partial is dropped only by
 // erroring the whole pass, never silently.
-func (src opSource) runOp(ex Exec, op Op, commit func(ci int, v any) error) error {
+func (m *Matrix) StreamOp(ex Exec, op Op, commit func(ci int, v any) error) error {
+	if m.freed {
+		return ErrFreed
+	}
 	st, err := prepareOp(op)
 	if err != nil {
 		return err
 	}
 	ex = ex.normalized()
-	n := len(src.keys)
-	apply := func(ci int, c la.Mat) (any, error) { return st.apply(c) }
+	n := len(m.paths)
 
 	// Zone-map shortcut: chunks proven all-zero whose op can build its
 	// partial from the chunk shape alone never enter any pipeline — no
@@ -64,21 +55,18 @@ func (src opSource) runOp(ex Exec, op Op, commit func(ci int, v any) error) erro
 	var pre map[int]any
 	if zp, ok := st.(zeroPartialer); ok {
 		for ci := 0; ci < n; ci++ {
-			if src.store.allZeroChunk(src.keys[ci]) {
+			if m.store.allZeroChunk(m.paths[ci]) {
 				if pre == nil {
 					pre = make(map[int]any)
 				}
-				pre[ci] = zp.zeroPartial(src.rowsAt(ci), src.cols)
-				src.store.noteSkip(src.keys[ci])
+				pre[ci] = zp.zeroPartial(m.cols)
+				m.store.noteSkip(m.paths[ci])
 			}
 		}
 	}
 
 	if !ex.Pushdown {
-		if pre == nil {
-			return runPipelineOrder(n, ex, src.store.readOrder(src.keys, ex), src.read, apply, commit)
-		}
-		return src.runSkipping(ex, st, pre, commit)
+		return m.runLocal(ex, st, pre, commit)
 	}
 
 	// Partition the chunks by executing shard; chunks on passive shards
@@ -94,8 +82,8 @@ func (src opSource) runOp(ex Exec, op Op, commit func(ci int, v any) error) erro
 		if _, ok := pre[ci]; ok {
 			continue
 		}
-		si, eb := src.store.execBackendFor(src.keys[ci])
-		if eb == nil || src.store.allZeroChunk(src.keys[ci]) {
+		si, eb := m.store.execBackendFor(m.paths[ci])
+		if eb == nil || m.store.allZeroChunk(m.paths[ci]) {
 			local = append(local, ci)
 			continue
 		}
@@ -103,10 +91,7 @@ func (src opSource) runOp(ex Exec, op Op, commit func(ci int, v any) error) erro
 		execs[si] = eb
 	}
 	if len(groups) == 0 {
-		if pre == nil {
-			return runPipelineOrder(n, ex, src.store.readOrder(src.keys, ex), src.read, apply, commit)
-		}
-		return src.runSkipping(ex, st, pre, commit)
+		return m.runLocal(ex, st, pre, commit)
 	}
 
 	done := make(chan struct{})
@@ -124,7 +109,7 @@ func (src opSource) runOp(ex Exec, op Op, commit func(ci int, v any) error) erro
 		for _, ci := range cis {
 			owner[ci] = ch
 		}
-		go src.runRemoteGroup(st, op, execs[si], cis, ch, done)
+		go m.runRemoteGroup(st, op, execs[si], cis, ch, done)
 	}
 	if len(local) > 0 {
 		ch := make(chan pushRes, 4)
@@ -133,7 +118,7 @@ func (src opSource) runOp(ex Exec, op Op, commit func(ci int, v any) error) erro
 		}
 		go func() {
 			err := runPipeline(len(local), ex,
-				func(i int) (la.Mat, error) { return src.read(local[i]) },
+				func(i int) (la.Mat, error) { return m.readAt(local[i]) },
 				func(i int, c la.Mat) (any, error) { return st.apply(c) },
 				func(i int, v any) error {
 					if !sendRes(ch, done, pushRes{ci: local[i], v: v}) {
@@ -168,18 +153,19 @@ func (src opSource) runOp(ex Exec, op Op, commit func(ci int, v any) error) erro
 	return nil
 }
 
-// runSkipping runs the local pipeline over only the chunks the zone-map
-// shortcut could not precompute, interleaving the precomputed identity
-// partials into the ordered commit at their global chunk positions: commit
-// still sees every chunk index exactly once, in ascending order.
-func (src opSource) runSkipping(ex Exec, st opState, pre map[int]any, commit func(ci int, v any) error) error {
-	n := len(src.keys)
+// runLocal runs the local pipeline over the chunks the zone-map shortcut
+// could not precompute (all of them when pre is empty), interleaving the
+// precomputed identity partials into the ordered commit at their global
+// chunk positions: commit still sees every chunk index exactly once, in
+// ascending order.
+func (m *Matrix) runLocal(ex Exec, st opState, pre map[int]any, commit func(ci int, v any) error) error {
+	n := len(m.paths)
 	pend := make([]int, 0, n-len(pre))
 	keys := make([]string, 0, n-len(pre))
 	for ci := 0; ci < n; ci++ {
 		if _, ok := pre[ci]; !ok {
 			pend = append(pend, ci)
-			keys = append(keys, src.keys[ci])
+			keys = append(keys, m.paths[ci])
 		}
 	}
 	next := 0 // next global chunk index to commit
@@ -193,8 +179,8 @@ func (src opSource) runSkipping(ex Exec, st opState, pre map[int]any, commit fun
 		}
 		return nil
 	}
-	err := runPipelineOrder(len(pend), ex, src.store.readOrder(keys, ex),
-		func(i int) (la.Mat, error) { return src.read(pend[i]) },
+	err := runPipelineOrder(len(pend), ex, m.store.readOrder(keys, ex),
+		func(i int) (la.Mat, error) { return m.readAt(pend[i]) },
 		func(i int, c la.Mat) (any, error) { return st.apply(c) },
 		func(i int, v any) error {
 			if err := flush(pend[i]); err != nil {
@@ -226,9 +212,9 @@ func sendRes(ch chan<- pushRes, done <-chan struct{}, r pushRes) bool {
 // ReadChunk + local-map path; only a failure of that path too errors the
 // pass. Each fallback is counted in the store's IOStats and logged with
 // its cause.
-func (src opSource) runRemoteGroup(st opState, op Op, eb ExecBackend, cis []int, out chan<- pushRes, done <-chan struct{}) {
+func (m *Matrix) runRemoteGroup(st opState, op Op, eb ExecBackend, cis []int, out chan<- pushRes, done <-chan struct{}) {
 	fallback := func(ci int) bool {
-		c, err := src.read(ci)
+		c, err := m.readAt(ci)
 		if err == nil {
 			var v any
 			if v, err = st.apply(c); err == nil {
@@ -240,11 +226,11 @@ func (src opSource) runRemoteGroup(st opState, op Op, eb ExecBackend, cis []int,
 	}
 	chunks := make([]ExecChunk, len(cis))
 	for i, ci := range cis {
-		chunks[i] = ExecChunk{Key: src.keys[ci], Rows: src.rowsAt(ci)}
+		chunks[i] = ExecChunk{Key: m.paths[ci], Rows: m.rowsAt(ci)}
 	}
-	ps, err := eb.ExecOp(op, src.kind, src.cols, chunks)
+	ps, err := eb.ExecOp(op, m.kind, m.cols, chunks)
 	if err != nil {
-		src.store.notePushdownFallback(eb.Name(), op.Name, len(cis), err)
+		m.store.notePushdownFallback(eb.Name(), op.Name, len(cis), err)
 		for _, ci := range cis {
 			if !fallback(ci) {
 				return
@@ -257,7 +243,7 @@ func (src opSource) runRemoteGroup(st opState, op Op, eb ExecBackend, cis []int,
 		raw, err := ps.Next()
 		if err == nil {
 			var v any
-			if v, err = st.decodePartial(raw); err == nil {
+			if v, err = st.decodePartial(raw, m.cols); err == nil {
 				if !sendRes(out, done, pushRes{ci: ci, v: v}) {
 					return
 				}
@@ -267,7 +253,7 @@ func (src opSource) runRemoteGroup(st opState, op Op, eb ExecBackend, cis []int,
 		// Stream dead or partial corrupt: the rest of the group falls
 		// back to the passive path.
 		ps.Close()
-		src.store.notePushdownFallback(eb.Name(), op.Name, len(cis)-i, err)
+		m.store.notePushdownFallback(eb.Name(), op.Name, len(cis)-i, err)
 		for _, rest := range cis[i:] {
 			if !fallback(rest) {
 				return

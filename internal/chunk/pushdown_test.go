@@ -2,6 +2,8 @@ package chunk
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -100,7 +102,7 @@ func TestPushdownDifferential(t *testing.T) {
 		{Workers: 4, Prefetch: 3, Pushdown: true},
 		{Workers: 1, Prefetch: 0, Pushdown: true}, // serial driver, remote workers
 	} {
-		for _, m := range []Mat{dM, sM} {
+		for _, m := range []*Matrix{dM, sM} {
 			xpL, err := m.CrossProdExec(exLocal)
 			if err != nil {
 				t.Fatal(err)
@@ -478,7 +480,7 @@ func TestExecOpRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("partial %d: %v", i, err)
 		}
-		v, err := st.decodePartial(raw)
+		v, err := st.decodePartial(raw, 3)
 		if err != nil {
 			t.Fatalf("partial %d: %v", i, err)
 		}
@@ -554,5 +556,134 @@ func TestPutOverrunReturns413(t *testing.T) {
 	h.ServeHTTP(rr, req)
 	if rr.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("overrunning PUT = %d, want 413", rr.Code)
+	}
+}
+
+// wrongShapeExecServer is a faulty chunkd worker: /exec streams one
+// well-formed partial per requested chunk, but of the wrong shape — a 1×1
+// dense blob for the dense reductions and, for kmeans-assign, either 1×1
+// sums with one count or (short) right-shape sums with one count too few.
+type wrongShapeExecServer struct {
+	inner *ChunkServer
+	short atomic.Bool
+}
+
+func (s *wrongShapeExecServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/exec" {
+		s.inner.ServeHTTP(w, r)
+		return
+	}
+	var req execRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	for range req.Chunks {
+		raw := appendDenseBlob(nil, la.NewDense(1, 1))
+		if req.Op == "kmeans-assign" {
+			cent, _, err := readDenseBlob(req.Params)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			k := 1
+			if s.short.Load() {
+				raw = appendDenseBlob(nil, la.NewDense(cent.Rows(), cent.Cols()))
+				k = cent.Cols() - 1
+			}
+			raw = binary.LittleEndian.AppendUint64(raw, uint64(k))
+			for j := 0; j < k; j++ {
+				raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(1))
+			}
+			raw = binary.LittleEndian.AppendUint64(raw, 0)
+		}
+		if err := writePartialFrame(w, raw); err != nil {
+			return
+		}
+	}
+	writeEndFrame(w)
+}
+
+// TestPushdownRejectsWrongShapePartials: a worker answering with
+// well-formed partials of the wrong shape neither panics the committer nor
+// skews the reduction — every such partial is rejected, the shard group
+// falls back to the read path (counted in PushdownFallbacks), and the
+// result equals the all-local pass bit for bit.
+func TestPushdownRejectsWrongShapePartials(t *testing.T) {
+	inner, err := NewChunkServer(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := &wrongShapeExecServer{inner: inner}
+	srv := httptest.NewServer(faulty)
+	defer srv.Close()
+	rb, err := NewRemoteBackend(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewShardedStoreBackends([]Backend{rb}, RoundRobin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	dM, err := FromDense(s, randDense(rand.New(rand.NewSource(4)), 61, 4), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exLocal := Exec{Workers: 2, Prefetch: 2}
+	exPush := Exec{Workers: 2, Prefetch: 2, Pushdown: true}
+	logged := captureFallbackLogs(t)
+	fallbacks := 0
+	expectFallbacks := func(what string, passes int) {
+		t.Helper()
+		fallbacks += passes
+		if n := s.IOStats().PushdownFallbacks; n != fallbacks {
+			t.Fatalf("%s: PushdownFallbacks = %d, want %d", what, n, fallbacks)
+		}
+		if n := logged(); n != fallbacks {
+			t.Fatalf("%s: %d fallback log records, want %d", what, n, fallbacks)
+		}
+	}
+
+	for _, op := range []struct {
+		name string
+		run  func(ex Exec) (*la.Dense, error)
+	}{
+		{"crossprod", dM.CrossProdExec},
+		{"colsums", dM.ColSumsExec},
+	} {
+		want, err := op.run(exLocal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := op.run(exPush)
+		if err != nil {
+			t.Fatalf("%s against a wrong-shape worker: %v", op.name, err)
+		}
+		if !sameFloatBits(want, got) {
+			t.Fatalf("%s against a wrong-shape worker diverged from the local pass", op.name)
+		}
+		expectFallbacks(op.name, 1)
+	}
+
+	const k, iters = 3, 2
+	want, err := KMeansExec(exLocal, dM, k, iters, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Assign.Free()
+	for _, short := range []bool{false, true} {
+		faulty.short.Store(short)
+		got, err := KMeansExec(exPush, dM, k, iters, 7)
+		if err != nil {
+			t.Fatalf("kmeans (short counts %v) against a wrong-shape worker: %v", short, err)
+		}
+		if !sameFloatBits(want.Centroids, got.Centroids) || want.Objective != got.Objective || want.BytesRead != got.BytesRead {
+			t.Fatalf("kmeans (short counts %v) against a wrong-shape worker diverged from the local pass", short)
+		}
+		if err := got.Assign.Free(); err != nil {
+			t.Fatal(err)
+		}
+		expectFallbacks(fmt.Sprintf("kmeans (short counts %v)", short), iters)
 	}
 }

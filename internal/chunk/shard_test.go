@@ -116,7 +116,7 @@ func TestShardedLeastBytesBalances(t *testing.T) {
 // buildPKFKInputs deterministically rebuilds the same dense table, CSR
 // table, star, and labels in any store, so sharded and single-directory
 // runs see identical bytes.
-func buildPKFKInputs(t *testing.T, store *Store, seed int64) (tDense *Matrix, tSparse *SparseMatrix, nt *NormalizedTable, y *la.Dense) {
+func buildPKFKInputs(t *testing.T, store *Store, seed int64) (tDense *Matrix, tSparse *Matrix, nt *NormalizedTable, y *la.Dense) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const nS, dS, chunkRows = 70, 6, 8

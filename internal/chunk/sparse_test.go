@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -105,6 +106,37 @@ func TestSparseOpsMatchInMemory(t *testing.T) {
 		if d := sum - c.Sum(); d > 1e-9 || d < -1e-9 {
 			t.Fatal("chunked sparse Sum mismatch")
 		}
+
+		sc, err := m.ScaleExec(ex, 1.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sc.Sparse() || sc.NNZ() != m.NNZ() {
+			t.Fatalf("scaled CSR matrix: sparse=%v nnz=%d, want CSR chunks with %d non-zeros", sc.Sparse(), sc.NNZ(), m.NNZ())
+		}
+		scC, err := sc.CSR()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !la.EqualApprox(scC.Dense(), c.ScaleM(1.5).Dense(), 0) {
+			t.Fatal("chunked sparse Scale mismatch")
+		}
+		rs, err := m.RowSumsExec(ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rsD, err := rs.Dense()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !la.EqualApprox(rsD, c.RowSums(), 0) {
+			t.Fatal("chunked sparse RowSums mismatch")
+		}
+		for _, out := range []*Matrix{sc, rs} {
+			if err := out.Free(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -176,7 +208,59 @@ func TestSparseFreeRemovesChunks(t *testing.T) {
 	if got := chunkFileCount(t, dir); got != 0 {
 		t.Fatalf("%d files left after Free", got)
 	}
-	if err := m.ForEach(func(lo int, c *la.CSR) error { return nil }); err != ErrFreed {
+	if err := m.ForEach(func(lo int, c la.Mat) error { return nil }); err != ErrFreed {
 		t.Fatalf("ForEach on freed sparse matrix: %v, want ErrFreed", err)
+	}
+}
+
+// hugeNNZBlob is a 64-byte CSR chunk of shape 1×4 whose header claims
+// 2⁶²+2 non-zeros: 8·(1+4) + 12·nnz wraps to exactly 64 in 64-bit
+// arithmetic, so a length check done after the multiplication passes.
+func hugeNNZBlob() []byte {
+	raw := make([]byte, 64)
+	binary.LittleEndian.PutUint64(raw[0:], 1)
+	binary.LittleEndian.PutUint64(raw[8:], 4)
+	binary.LittleEndian.PutUint64(raw[16:], 1<<62+2)
+	return raw
+}
+
+// TestSparseHugeNNZChunkSurfacesError: a CSR chunk whose header nnz would
+// overflow the size arithmetic is rejected with an error on every read
+// path — the driver's pipeline workers and a chunkd /exec worker —
+// instead of panicking the process in the allocation.
+func TestSparseHugeNNZChunkSurfacesError(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	m, err := FromCSR(s, randCSR(rand.New(rand.NewSource(35)), 1, 4, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, m.paths[0]), hugeNNZBlob(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, ex := range []Exec{Serial, parExec} {
+		if _, err := m.SumExec(ex); err == nil {
+			t.Fatalf("Sum under %+v succeeded on a chunk claiming 2^62+2 non-zeros", ex)
+		}
+	}
+	if _, err := m.CSR(); err == nil {
+		t.Fatal("CSR() succeeded on a chunk claiming 2^62+2 non-zeros")
+	}
+
+	rb, _ := startChunkServer(t)
+	if err := rb.WriteChunk(keyFor(0), hugeNNZBlob()); err != nil {
+		t.Fatal(err)
+	}
+	ps, err := rb.ExecOp(OpSum(), "csr", 4, []ExecChunk{{Key: keyFor(0), Rows: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	if _, err := ps.Next(); err == nil || !strings.Contains(err.Error(), "exec worker error") {
+		t.Fatalf("/exec over the corrupt chunk: %v, want an in-band worker error", err)
 	}
 }

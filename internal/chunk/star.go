@@ -46,16 +46,20 @@ func (v *IntVector) Rows() int { return v.m.rows }
 // which lets parallel pipelines over an aligned Matrix fetch the matching
 // key chunk from inside their workers.
 func (v *IntVector) Keys(ci int) (lo int, keys []int32, err error) {
-	lo, hi := v.m.chunkBounds(ci)
-	c, err := v.m.readAt(ci)
+	lo, c, err := v.m.Chunk(ci)
 	if err != nil {
 		return 0, nil, err
 	}
-	keys = make([]int32, hi-lo)
-	for i, f := range c.Data() {
+	return lo, keysOf(c), nil
+}
+
+// keysOf decodes one key chunk, stored as exact small floats.
+func keysOf(c la.Mat) []int32 {
+	keys := make([]int32, c.Rows())
+	for i, f := range c.Dense().Data() {
 		keys[i] = int32(f)
 	}
-	return lo, keys, nil
+	return keys
 }
 
 // Free releases the vector's chunk files.
@@ -77,7 +81,7 @@ type AttrTable struct {
 // (q = 1) is the paper's plain PK-FK join; for M:N joins (Table 10) see
 // MNTable.
 type NormalizedTable struct {
-	S     Mat // nS×dS on disk, dense or CSR chunks
+	S     *Matrix // nS×dS on disk, dense or CSR chunks
 	Attrs []AttrTable
 }
 
@@ -88,7 +92,7 @@ func NewNormalizedTable(s *Matrix, fk *IntVector, r *la.Dense) (*NormalizedTable
 
 // NewStarTable validates chunk alignment between S and every foreign-key
 // column.
-func NewStarTable(s Mat, attrs []AttrTable) (*NormalizedTable, error) {
+func NewStarTable(s *Matrix, attrs []AttrTable) (*NormalizedTable, error) {
 	if s == nil {
 		return nil, fmt.Errorf("chunk: star table needs an entity table")
 	}

@@ -133,7 +133,7 @@ func TestStarChunkedGLMSerialParallelIdentical(t *testing.T) {
 }
 
 // TestSparseEntityStar runs the factorized star driver with the entity
-// table stored as CSR chunks: the same chunk.Mat interface, same weights.
+// table stored as CSR chunks: the same chunked Matrix type, same weights.
 func TestSparseEntityStar(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	store := testStore(t)
@@ -142,7 +142,7 @@ func TestSparseEntityStar(t *testing.T) {
 	y := pmLabels(rng, nS)
 
 	// Rebuild the same star with S in CSR chunks.
-	sDense, err := nt.S.(*Matrix).Dense()
+	sDense, err := nt.S.Dense()
 	if err != nil {
 		t.Fatal(err)
 	}

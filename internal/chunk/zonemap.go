@@ -39,6 +39,14 @@ type ZoneMap struct {
 // colBlock maps column j of cols to its ColBlocks bit.
 func colBlock(j, cols int) uint { return uint(j * 64 / cols) }
 
+// chunkZoneMap scans one chunk in its format.
+func chunkZoneMap(c la.Mat) ZoneMap {
+	if t, ok := c.(*la.CSR); ok {
+		return csrZoneMap(t)
+	}
+	return denseZoneMap(c.Dense())
+}
+
 // denseZoneMap scans one dense chunk. Zero is bit-pattern +0.0: anything
 // else (including -0.0 and NaN) counts as an entry and defeats AllZero.
 func denseZoneMap(d *la.Dense) ZoneMap {

@@ -11,9 +11,9 @@ import (
 // Streamed factorized operators over out-of-core base tables. They apply
 // the same rewrite rules as NormalizedMatrix — crossprod via Algorithm 2
 // (with the §3.5 star-schema generalization), LMM/RMM via §3.3.3, DMM via
-// appendix C — but the entity table S (dense or CSR chunks, anything
-// implementing chunk.Mat) and the foreign-key columns live in a chunk
-// store, so per-iteration I/O is proportional to the base tables, never to
+// appendix C — but the entity table S (a chunk.Matrix of dense or CSR
+// chunks) and the foreign-key columns live in a chunk store, so
+// per-iteration I/O is proportional to the base tables, never to
 // the joined nS×(dS+ΣdRi) output. Every pass runs on the chunk package's
 // parallel pipeline; reductions commit in chunk order, so results are
 // deterministic for any Exec.

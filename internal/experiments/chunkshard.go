@@ -76,8 +76,8 @@ func chunkshard(cfg Config) (Result, error) {
 	// synchronously, so it would not exercise the concurrency under test).
 	spill := func(t *chunk.Matrix) func() {
 		return func() {
-			cp, err := t.MapChunksToMatrix(ex, t.Cols(), func(ci, lo int, c *la.Dense) (*la.Dense, error) {
-				return c, nil
+			cp, err := t.StreamToMatrix(ex, t.Cols(), func(ci, lo int, c la.Mat) (*la.Dense, error) {
+				return c.Dense(), nil
 			})
 			if err != nil {
 				panic(err)
@@ -94,7 +94,7 @@ func chunkshard(cfg Config) (Result, error) {
 		secs(oneSpill), secs(shSpill), ratio(oneSpill, shSpill)})
 
 	// row times one workload on both stores and pins the results equal.
-	row := func(name string, run func(t chunk.Mat) (*la.Dense, error)) error {
+	row := func(name string, run func(t *chunk.Matrix) (*la.Dense, error)) error {
 		var outSingle, outSharded *la.Dense
 		oneT := timeIt(func() {
 			var err error
@@ -118,7 +118,7 @@ func chunkshard(cfg Config) (Result, error) {
 	}
 
 	xc := la.Ones(dS+dR, 8)
-	if err := row("T·x (spilled product)", func(t chunk.Mat) (*la.Dense, error) {
+	if err := row("T·x (spilled product)", func(t *chunk.Matrix) (*la.Dense, error) {
 		p, err := t.MulExec(ex, xc)
 		if err != nil {
 			return nil, err
@@ -128,7 +128,7 @@ func chunkshard(cfg Config) (Result, error) {
 	}); err != nil {
 		return Result{}, err
 	}
-	if err := row(fmt.Sprintf("glm-materialized (%d iters)", iters), func(t chunk.Mat) (*la.Dense, error) {
+	if err := row(fmt.Sprintf("glm-materialized (%d iters)", iters), func(t *chunk.Matrix) (*la.Dense, error) {
 		r, err := chunk.LogRegMaterializedExec(ex, t, y, iters, 1e-6)
 		if err != nil {
 			return nil, err
@@ -146,7 +146,7 @@ func chunkshard(cfg Config) (Result, error) {
 			return v
 		}).(*la.Dense), nil
 	}
-	if err := row(fmt.Sprintf("gnmf rank=5 (%d iters)", iters), func(t chunk.Mat) (*la.Dense, error) {
+	if err := row(fmt.Sprintf("gnmf rank=5 (%d iters)", iters), func(t *chunk.Matrix) (*la.Dense, error) {
 		pos, err := t.StreamToMatrix(ex, t.Cols(), absChunk)
 		if err != nil {
 			return nil, err

@@ -9,10 +9,10 @@ import (
 	"repro/internal/la"
 )
 
-// chunkstar exercises the unified chunked-operand interface end to end:
-// a two-attribute-table star schema and a one-hot sparse table both train
-// logistic regression fully out-of-core through chunk.Mat (materialized vs
-// factorized, weights pinned equal), the star streams its factorized
+// chunkstar exercises both chunk formats end to end: a
+// two-attribute-table star schema and a one-hot sparse table both train
+// logistic regression fully out-of-core through chunk.Matrix (materialized
+// vs factorized, weights pinned equal), the star streams its factorized
 // cross-product (results pinned against the materialized chunked pass),
 // and the streamed k-means driver runs its per-iteration distance/argmin
 // passes over the chunked table. This is part of the `morpheus-bench
@@ -21,7 +21,7 @@ func chunkstar(cfg Config) (Result, error) {
 	ex := chunkExec(cfg)
 	res := Result{
 		ID:     "chunkstar",
-		Title:  "Out-of-core star-schema + sparse training and streamed k-means (chunk.Mat interface)",
+		Title:  "Out-of-core star-schema + sparse training and streamed k-means (dense and CSR chunks)",
 		Header: []string{"workload", "M(s)", "F(s)", "speedup"},
 		Notes: fmt.Sprintf("workers=%d prefetch=%d; chunk heights via AutoRows(%d MB); kmeans row compares serial (M) vs parallel (F) execution",
 			ex.Workers, ex.Prefetch, memBudgetMB(cfg)),
@@ -132,7 +132,7 @@ func chunkstar(cfg Config) (Result, error) {
 	}
 
 	// One-hot sparse table: materialized CSR chunks vs the factorized star
-	// with a CSR attribute table, both through chunk.Mat.
+	// with a CSR attribute table, both through chunk.Matrix.
 	{
 		dR := 6 * dS
 		nm, err := oneHotPKFK(nS, dS, nR, dR, cfg.Seed)

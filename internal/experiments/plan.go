@@ -24,7 +24,7 @@ func planEnv(cfg Config, st *chunk.Store) plan.Env {
 
 // plannedGLM checks the planner-driven star/PK-FK GLM against the twin
 // weights of the explicit materialized and factorized runs.
-func plannedGLM(res *Result, label string, env plan.Env, tM chunk.Mat, nt *chunk.NormalizedTable, y *la.Dense, iters int, alpha float64, twinM, twinF *la.Dense) error {
+func plannedGLM(res *Result, label string, env plan.Env, tM *chunk.Matrix, nt *chunk.NormalizedTable, y *la.Dense, iters int, alpha float64, twinM, twinF *la.Dense) error {
 	pr, d, err := plan.LogReg(env, tM, nt, y, iters, alpha)
 	if err != nil {
 		return fmt.Errorf("experiments: %s: planned GLM: %w", label, err)
@@ -42,7 +42,7 @@ func plannedGLM(res *Result, label string, env plan.Env, tM chunk.Mat, nt *chunk
 }
 
 // plannedGLMMN is plannedGLM for M:N joins.
-func plannedGLMMN(res *Result, label string, env plan.Env, tM chunk.Mat, mn *chunk.MNTable, y *la.Dense, iters int, alpha float64, twinM, twinF *la.Dense) error {
+func plannedGLMMN(res *Result, label string, env plan.Env, tM *chunk.Matrix, mn *chunk.MNTable, y *la.Dense, iters int, alpha float64, twinM, twinF *la.Dense) error {
 	pr, d, err := plan.LogRegMN(env, tM, mn, y, iters, alpha)
 	if err != nil {
 		return fmt.Errorf("experiments: %s: planned MN GLM: %w", label, err)
@@ -61,7 +61,7 @@ func plannedGLMMN(res *Result, label string, env plan.Env, tM chunk.Mat, mn *chu
 
 // plannedKMeans checks the planner-driven k-means against an explicit
 // twin run, then releases the planner run's assignment column.
-func plannedKMeans(res *Result, label string, env plan.Env, t chunk.Mat, k, iters int, seed int64, twin *chunk.KMeansResult) error {
+func plannedKMeans(res *Result, label string, env plan.Env, t *chunk.Matrix, k, iters int, seed int64, twin *chunk.KMeansResult) error {
 	pr, d, err := plan.KMeans(env, t, k, iters, seed)
 	if err != nil {
 		return fmt.Errorf("experiments: %s: planned k-means: %w", label, err)
@@ -80,7 +80,7 @@ func plannedKMeans(res *Result, label string, env plan.Env, t chunk.Mat, k, iter
 
 // plannedGNMF checks the planner-driven GNMF against the explicit twin's
 // H factor, then releases the planner run's chunked W.
-func plannedGNMF(res *Result, label string, env plan.Env, t chunk.Mat, rank, iters int, seed int64, twinH *la.Dense) error {
+func plannedGNMF(res *Result, label string, env plan.Env, t *chunk.Matrix, rank, iters int, seed int64, twinH *la.Dense) error {
 	pr, d, err := plan.GNMF(env, t, rank, iters, seed)
 	if err != nil {
 		return fmt.Errorf("experiments: %s: planned GNMF: %w", label, err)

@@ -242,7 +242,7 @@ func autoChunkRows(cfg Config, cols int) int {
 // runGLMPair times a chunked materialized GLM run against the factorized
 // run over the same logical table and verifies the fitted weights agree —
 // a divergence is an error, never a silently wrong table row.
-func runGLMPair(ex chunk.Exec, tM chunk.Mat, nt *chunk.NormalizedTable, y *la.Dense, iters int, alpha float64) (mT, fT time.Duration, resM, resF *chunk.LogRegResult, err error) {
+func runGLMPair(ex chunk.Exec, tM *chunk.Matrix, nt *chunk.NormalizedTable, y *la.Dense, iters int, alpha float64) (mT, fT time.Duration, resM, resF *chunk.LogRegResult, err error) {
 	mT = timeIt(func() {
 		var err error
 		resM, err = chunk.LogRegMaterializedExec(ex, tM, y, iters, alpha)
@@ -285,7 +285,7 @@ func table9(cfg Config) (Result, error) {
 	ex := chunkExec(cfg)
 
 	// sweep times one sweep point and appends its per-iteration row.
-	sweep := func(label string, tM chunk.Mat, nt *chunk.NormalizedTable, y *la.Dense) error {
+	sweep := func(label string, tM *chunk.Matrix, nt *chunk.NormalizedTable, y *la.Dense) error {
 		mT, fT, resM, resF, err := runGLMPair(ex, tM, nt, y, iters, 1e-6)
 		if err != nil {
 			return fmt.Errorf("table9: %s: %w", label, err)
@@ -330,7 +330,7 @@ func table9(cfg Config) (Result, error) {
 
 	// Sparse point: a one-hot CSR attribute table (the Table 6 shape). The
 	// materialized baseline keeps the fair sparse format — CSR chunks —
-	// and both paths train through chunk.Mat.
+	// and both paths train through chunk.Matrix.
 	{
 		dR := 4 * dS
 		nm, err := oneHotPKFK(nS, dS, nR, dR, cfg.Seed)

@@ -11,7 +11,7 @@ import (
 // MaterializedOperands describes a chunked materialized table with no
 // join structure on hand: the planner can only pick the residency,
 // execution, and placement axes.
-func MaterializedOperands(t chunk.Mat) Operands {
+func MaterializedOperands(t *chunk.Matrix) Operands {
 	o := Operands{
 		Rows:              t.Rows(),
 		Cols:              t.Cols(),
@@ -21,9 +21,8 @@ func MaterializedOperands(t chunk.Mat) Operands {
 		HasMaterialized:   true,
 		BytesMaterialized: t.BytesOnDisk(),
 	}
-	if sp, ok := t.(*chunk.SparseMatrix); ok {
-		o.Sparse = true
-		o.NNZ = sp.NNZ()
+	if t.Sparse() {
+		o.Sparse, o.NNZ = true, t.NNZ()
 	}
 	return o
 }
@@ -31,7 +30,7 @@ func MaterializedOperands(t chunk.Mat) Operands {
 // StarOperands describes a PK-FK/star join: the factorized normalized
 // table (required) and, when the caller also holds it, the materialized
 // join output. The §3.7 stats come from the table dimensions alone.
-func StarOperands(tM chunk.Mat, nt *chunk.NormalizedTable) Operands {
+func StarOperands(tM *chunk.Matrix, nt *chunk.NormalizedTable) Operands {
 	var attrBytes int64
 	rs := make([]core.TableDim, len(nt.Attrs))
 	for i, a := range nt.Attrs {
@@ -64,7 +63,7 @@ func StarOperands(tM chunk.Mat, nt *chunk.NormalizedTable) Operands {
 // output. Redundancy from StatsFromDims(|T'|, dS+dR, dims(S), [dims(R)])
 // is exactly the paper's storage ratio, so the representation axis
 // reduces to Redundancy > 1.
-func MNOperands(tM chunk.Mat, mn *chunk.MNTable) Operands {
+func MNOperands(tM *chunk.Matrix, mn *chunk.MNTable) Operands {
 	nOut := mn.OutputRows()
 	dS, dR := mn.S.Cols(), mn.R.Cols()
 	s := core.TableDim{Rows: mn.S.Rows(), Cols: dS}
@@ -120,7 +119,7 @@ func InMemoryOperands(nm *core.NormalizedMatrix) Operands {
 // plans OpGLM over the representations the caller holds and dispatches to
 // LogRegMaterializedExec or LogRegFactorizedExec accordingly. Either of
 // tM/nt may be nil; the planner never selects an absent representation.
-func LogReg(env Env, tM chunk.Mat, nt *chunk.NormalizedTable, y *la.Dense, iters int, alpha float64) (*chunk.LogRegResult, Decision, error) {
+func LogReg(env Env, tM *chunk.Matrix, nt *chunk.NormalizedTable, y *la.Dense, iters int, alpha float64) (*chunk.LogRegResult, Decision, error) {
 	var o Operands
 	if nt != nil {
 		o = StarOperands(tM, nt)
@@ -146,7 +145,7 @@ func LogReg(env Env, tM chunk.Mat, nt *chunk.NormalizedTable, y *la.Dense, iters
 // LogRegMN is the planner-driven GLM entry point for M:N joins: it plans
 // OpGLM over the MNTable (and the materialized join output, when held)
 // and dispatches to LogRegFactorizedMNExec or LogRegMaterializedExec.
-func LogRegMN(env Env, tM chunk.Mat, mn *chunk.MNTable, y *la.Dense, iters int, alpha float64) (*chunk.LogRegResult, Decision, error) {
+func LogRegMN(env Env, tM *chunk.Matrix, mn *chunk.MNTable, y *la.Dense, iters int, alpha float64) (*chunk.LogRegResult, Decision, error) {
 	var o Operands
 	if mn != nil {
 		o = MNOperands(tM, mn)
@@ -173,7 +172,7 @@ func LogRegMN(env Env, tM chunk.Mat, mn *chunk.MNTable, y *la.Dense, iters int, 
 // has no factorized form (the assignment pass needs materialized rows),
 // so the plan decides execution and placement — including pushdown, since
 // the assignment pass is a registered op.
-func KMeans(env Env, t chunk.Mat, k, iters int, seed int64) (*chunk.KMeansResult, Decision, error) {
+func KMeans(env Env, t *chunk.Matrix, k, iters int, seed int64) (*chunk.KMeansResult, Decision, error) {
 	d := Plan(OpKMeans, MaterializedOperands(t), env)
 	res, err := chunk.KMeansExec(d.Strategy.Exec(), t, k, iters, seed)
 	return res, d, err
@@ -183,7 +182,7 @@ func KMeans(env Env, t chunk.Mat, k, iters int, seed int64) (*chunk.KMeansResult
 // the materialized chunked table; the plan decides execution and
 // placement (never pushdown: the passes are closures, not registered
 // ops).
-func GNMF(env Env, t chunk.Mat, rank, iters int, seed int64) (*chunk.GNMFResult, Decision, error) {
+func GNMF(env Env, t *chunk.Matrix, rank, iters int, seed int64) (*chunk.GNMFResult, Decision, error) {
 	d := Plan(OpGNMF, MaterializedOperands(t), env)
 	res, err := chunk.GNMFExec(d.Strategy.Exec(), t, rank, iters, seed)
 	return res, d, err

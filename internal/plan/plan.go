@@ -164,7 +164,7 @@ type Strategy struct {
 	// automatically whenever chunks span shards).
 	Interleave bool `json:"interleave,omitempty"`
 	// SkipAware records that zone-map-annotated shards let the pass skip
-	// proven all-zero chunks (informational: runOp consults zone maps
+	// proven all-zero chunks (informational: StreamOp consults zone maps
 	// automatically whenever the store's backends record them).
 	SkipAware bool `json:"skip_aware,omitempty"`
 }

@@ -108,15 +108,9 @@ type ChunkOp = chunk.Op
 // backends for (implemented by RemoteChunkBackend against morpheus-chunkd).
 type ChunkExecBackend = chunk.ExecBackend
 
-// ChunkMat is the chunked-operand interface implemented by both the dense
-// and the CSR chunked matrix.
-type ChunkMat = chunk.Mat
-
-// ChunkMatrix is a dense matrix in fixed-height on-disk row chunks.
+// ChunkMatrix is a matrix in fixed-height on-disk row chunks, stored dense
+// or CSR.
 type ChunkMatrix = chunk.Matrix
-
-// ChunkSparseMatrix is a CSR matrix in on-disk row chunks.
-type ChunkSparseMatrix = chunk.SparseMatrix
 
 // ChunkIntVector is an on-disk chunked key column (foreign keys, row
 // selectors).
